@@ -18,13 +18,14 @@ from typing import Optional
 from .algebra import (
     InvalidAlgebraError,
     StructureAlgebra,
+    ValidationReport,
     algebraic_degree,
     brute_force_nil_index,
     uniform_algebraic_bound,
     uniform_nil_index,
 )
 from .catalog import builtin_example, builtin_names
-from .fields import QQ, field_make, scalar_from_json, scalar_to_json
+from .fields import QQ, Scalar, field_make, scalar_from_json, scalar_to_json
 from .freealg import (
     monomial_count,
     sym_poly,
@@ -53,12 +54,21 @@ class CheckFailure(Exception):
         self.witnesses = witnesses
 
 
-def _ser_scalar(s):
-    return scalar_to_json(s)
+class FiltrationFailure(CheckFailure):
+    """A description file's filtration broke a law; keeps it for check-filtration."""
+
+    def __init__(self, filtration: Filtration, report: ValidationReport):
+        super().__init__({"filtration_valid": False, "detail": report.describe()})
+        self.filtration = filtration
+        self.report = report
 
 
-def _ser_vector(v) -> list:
-    return [scalar_to_json(c) for c in v]
+def _ser_failure(fail: dict) -> dict:
+    """A validation failure as JSON: Scalar tuples become vectors, index tuples lists."""
+    return {
+        k: [scalar_to_json(c) if isinstance(c, Scalar) else c for c in v] if isinstance(v, tuple) else v
+        for k, v in fail.items()
+    }
 
 
 def _parse_md(text: str) -> tuple[int, ...]:
@@ -71,7 +81,14 @@ def _parse_md(text: str) -> tuple[int, ...]:
     return md
 
 
-def _load(args, need_filtration: bool = False):
+def _load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Optional[Filtration]]:
+    """The validated (algebra, filtration) of --builtin or --input.
+
+    The only place CLI input is validated: builtins are validated when they
+    are built, a description file's algebra here, and its filtration here
+    too when the command needs one (it comes back as None otherwise).  A
+    broken law raises CheckFailure.
+    """
     override = field_make(args.field) if getattr(args, "field", None) else None
     if getattr(args, "builtin", None):
         name, sep, param = args.builtin.partition(":")
@@ -91,18 +108,15 @@ def _load(args, need_filtration: bool = False):
         report = algebra.validate()
         if not report.ok:
             raise CheckFailure({"algebra_valid": False, "detail": report.describe()})
-        if need_filtration and filtration is not None:
-            freport = validate_filtration(algebra, filtration.stages)
-            if not freport.ok:
-                raise CheckFailure({"filtration_valid": False, "detail": freport.describe()})
+        if not need_filtration:
+            return algebra, None
+        if filtration is None:
+            raise InputError("this command needs a filtration in the description")
+        freport = validate_filtration(algebra, filtration.stages)
+        if not freport.ok:
+            raise FiltrationFailure(filtration, freport)
         return algebra, filtration
     raise InputError("need --input FILE or --builtin NAME:PARAM")
-
-
-def _need_filtration(filtration: Optional[Filtration]) -> Filtration:
-    if filtration is None:
-        raise InputError("this command needs a filtration in the description")
-    return filtration
 
 
 def _parse_elements(args, algebra: StructureAlgebra):
@@ -127,7 +141,7 @@ def cmd_sym_poly(args):
     field = field_make(args.field) if args.field else QQ
     md = _parse_md(args.md)
     poly = sym_poly(md, field)
-    terms = [[list(w), _ser_scalar(c)] for w, c in poly.terms()]
+    terms = [[list(w), scalar_to_json(c)] for w, c in poly.terms()]
     count = monomial_count(md)
     results = {
         "profile": list(md),
@@ -167,9 +181,11 @@ def cmd_span_dim(args):
 
 
 def cmd_nil_index(args):
+    if args.nmax is not None and args.nmax < 1:
+        raise InputError("--nmax must be >= 1")
     algebra, _ = _load(args)
     elts = _parse_elements(args, algebra)
-    cutoff = args.nmax or algebra.dim + 1
+    cutoff = algebra.dim + 1 if args.nmax is None else args.nmax
     index = uniform_nil_index(elts, cutoff=cutoff)
     two_sided = (not algebra.field.is_finite) or (
         index is not None and algebra.field.p >= index + 1
@@ -217,50 +233,40 @@ def cmd_alg_bound(args):
 
 
 def cmd_check_filtration(args):
-    algebra, filtration = _load(args)
-    areport = algebra.validate()
-    results = {"algebra_valid": areport.ok, "algebra_detail": areport.describe()}
-    witnesses = None
-    if filtration is None:
-        raise InputError("no filtration present in the input")
-    freport = validate_filtration(algebra, filtration.stages)
-    results["filtration_valid"] = freport.ok
-    results["filtration_detail"] = freport.describe()
-    results["stage_dims"] = [s.dim for s in filtration.stages]
-    if not (areport.ok and freport.ok):
-        witnesses = [
-            {k: (_ser_vector(v) if isinstance(v, tuple) else v) for k, v in fail.items()}
-            for fail in areport.failures + freport.failures
-        ]
-        raise CheckFailure(results, witnesses)
+    try:
+        _, filtration = _load(args, need_filtration=True)
+        freport = ValidationReport(True)
+    except FiltrationFailure as fail:
+        filtration, freport = fail.filtration, fail.report
+    results = {
+        "algebra_valid": True,
+        "algebra_detail": "ok",
+        "filtration_valid": freport.ok,
+        "filtration_detail": freport.describe(),
+        "stage_dims": filtration.dims(),
+    }
+    if not freport.ok:
+        raise CheckFailure(results, [_ser_failure(fail) for fail in freport.failures])
     return "pass", {}, results, None
 
 
 def cmd_gr(args):
-    algebra, filtration = _load(args, need_filtration=True)
-    filtration = _need_filtration(filtration)
-    freport = validate_filtration(algebra, filtration.stages)
-    if not freport.ok:
-        raise CheckFailure({"filtration_valid": False, "detail": freport.describe()})
-    graded = associated_graded(Filtration(algebra, filtration.stages))
+    _, filtration = _load(args, need_filtration=True)
+    # associated_graded validates the graded algebra as it builds it
+    graded = associated_graded(filtration)
     results = {
         "component_dims": graded.component_dims,
         "total_dim": graded.algebra.dim,
-        "graded_valid": graded.algebra.validate().ok,
+        "graded_valid": True,
         "slot_degrees": graded.slot_degrees(),
     }
-    if not results["graded_valid"]:
-        raise CheckFailure(results)
     return "pass", {}, results, None
 
 
 def cmd_verify_my1(args):
-    algebra, filtration = _load(args, need_filtration=True)
-    filtration = _need_filtration(filtration)
-    freport = validate_filtration(algebra, filtration.stages)
-    if not freport.ok:
-        raise CheckFailure({"filtration_valid": False, "detail": freport.describe()})
-    filtration = Filtration(algebra, filtration.stages)
+    if args.samples < 0:
+        raise InputError("--samples must be >= 0")
+    _, filtration = _load(args, need_filtration=True)
     try:
         outcome = verify_graded_nil_index(
             filtration, p=args.p, q=args.q, d=args.d, samples=args.samples, seed=args.seed
@@ -304,8 +310,6 @@ def _default_rees_element(filtration: Filtration, seed: int) -> ReesElement:
 
 def cmd_rees_integrality(args):
     algebra, filtration = _load(args, need_filtration=True)
-    filtration = _need_filtration(filtration)
-    filtration = Filtration(algebra, filtration.stages)
     if args.coeffs:
         try:
             data = json.loads(args.coeffs)
@@ -344,12 +348,9 @@ def cmd_rees_integrality(args):
 
 
 def cmd_iso_check(args):
-    algebra, filtration = _load(args, need_filtration=True)
-    filtration = _need_filtration(filtration)
-    freport = validate_filtration(algebra, filtration.stages)
-    if not freport.ok:
-        raise CheckFailure({"filtration_valid": False, "detail": freport.describe()})
-    filtration = Filtration(algebra, filtration.stages)
+    if args.maxdeg < 0:
+        raise InputError("--maxdeg must be >= 0")
+    _, filtration = _load(args, need_filtration=True)
     report = check_graded_rees_isomorphism(filtration, max_degree=args.maxdeg)
     results = {
         "max_degree": report.max_degree,

@@ -33,7 +33,7 @@ from .algebra import (
     evaluate,
     sym_span_in,
 )
-from .fields import Scalar
+from .fields import Field, Scalar
 from .freealg import sym_poly
 from .linalg import Subspace, invert_matrix
 
@@ -115,15 +115,6 @@ class Filtration:
             if not report.ok:
                 raise InvalidFiltrationError(report)
 
-    @classmethod
-    def from_vectors(
-        cls, algebra: StructureAlgebra, stage_vectors: Sequence[Sequence[Sequence]], check: bool = True
-    ) -> "Filtration":
-        stages = [
-            Subspace.span(algebra.field, algebra.dim, vecs) for vecs in stage_vectors
-        ]
-        return cls(algebra, stages, check=check)
-
     @property
     def top(self) -> int:
         return len(self.stages) - 1
@@ -143,6 +134,13 @@ class Filtration:
 
     def dims(self) -> list[int]:
         return [s.dim for s in self.stages]
+
+
+def _to_adapted_coords(f: Field, to_adapted: list[list[Scalar]], vec: Sequence[Scalar]) -> Coords:
+    """to_adapted * vec: adapted coordinates of an ambient Scalar vector."""
+    support = [(k, c) for k, c in enumerate(vec) if c]
+    zero = f.zero()
+    return tuple(sum((row[k] * c for k, c in support), zero) for row in to_adapted)
 
 
 @dataclass
@@ -170,11 +168,7 @@ class GradedAlgebra:
 
     def adapted_coords(self, coords) -> Coords:
         f = self.filtration.algebra.field
-        vec = [Scalar(f, c) for c in coords]
-        return tuple(
-            sum((row[k] * vec[k] for k in range(len(vec))), f.zero())
-            for row in self._to_adapted
-        )
+        return _to_adapted_coords(f, self._to_adapted, [Scalar(f, c) for c in coords])
 
     def class_element(self, coords, degree: int) -> AlgElement:
         """The class of a vector of F_degree in the degree-th component."""
@@ -184,13 +178,6 @@ class GradedAlgebra:
         keep = [
             ad[i] if self.adapted[i][0] == degree else self.algebra.field.zero()
             for i in range(len(ad))
-        ]
-        return self.algebra.element(keep)
-
-    def component_of(self, elt: AlgElement, degree: int) -> AlgElement:
-        keep = [
-            c if self.adapted[i][0] == degree else self.algebra.field.zero()
-            for i, c in enumerate(elt.coords)
         ]
         return self.algebra.element(keep)
 
@@ -236,21 +223,13 @@ def associated_graded(filtration: Filtration) -> GradedAlgebra:
             target = pi + pj
             if target > filtration.top:
                 continue
-            prod = base.multiply_coords(vi, vj)
-            coords = [
-                sum((row[k] * prod[k] for k in range(base.dim)), f.zero())
-                for row in to_adapted
-            ]
+            coords = _to_adapted_coords(f, to_adapted, base.multiply_coords(vi, vj))
             entry = {k: c for k, c in enumerate(coords) if degs[k] == target and c}
             if entry:
                 mul[(i, j)] = entry
     unit = None
     if base.is_unital and filtration.stage(0).contains(base.unit):
-        ad = [
-            sum((row[k] * base.unit[k] for k in range(base.dim)), f.zero())
-            for row in to_adapted
-        ]
-        unit = tuple(ad)
+        unit = _to_adapted_coords(f, to_adapted, base.unit)
     names = [f"deg{deg}#{i}" for i, deg in enumerate(degs)]
     gr_alg = StructureAlgebra(f, names, mul, unit=unit, check=True)
     return GradedAlgebra(filtration, adapted, component_dims, gr_alg, to_adapted)

@@ -345,16 +345,10 @@ def check_graded_rees_isomorphism(
                 continue
             checked += 1
             w = base.multiply_coords(vi, vj)
-            gprod = graded.algebra.multiply_coords(
-                graded.algebra.basis_element(i).coords,
-                graded.algebra.basis_element(j).coords,
+            rep = graded.representative(
+                graded.algebra.basis_element(i) * graded.algebra.basis_element(j)
             )
-            rep = [f.zero()] * base.dim
-            for k, c in enumerate(gprod):
-                if c:
-                    for r in range(base.dim):
-                        rep[r] = rep[r] + c * graded.adapted[k][1][r]
-            diff = tuple(x - y for x, y in zip(w, rep))
+            diff = tuple(x - y for x, y in zip(w, rep.coords))
             modulus = (
                 filtration.stage(pi + pj - 1)
                 if pi + pj >= 1

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ordsym.catalog import builtin_example
 from ordsym.cli import main
 from ordsym.io import dump_description
@@ -214,3 +216,71 @@ def test_description_file_input_end_to_end(tmp_path, capsys):
     code, report = run(["verify-my1", "--input", str(path), "--p", "1", "--q", "2"], capsys)
     assert code == 0
     assert report["results"]["N"] == 5
+
+
+def _ut3_with_filtration(tmp_path, stages):
+    """upper-triangular:3 (basis E11 E22 E33 E12 E23 E13) with the given stages.
+
+    Each stage lists the basis indices of its spanning unit vectors.
+    """
+    A, F = builtin_example("upper-triangular", 3)
+    doc = dump_description(A, F)
+    doc["filtration"] = [
+        [["1" if k == i else "0" for k in range(A.dim)] for i in stage] for stage in stages
+    ]
+    path = tmp_path / "ut3.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_check_filtration_reports_broken_nesting(tmp_path, capsys):
+    path = _ut3_with_filtration(tmp_path, [[5], [0, 1, 2, 3, 4], range(6)])
+    code, report = run(["check-filtration", "--input", path], capsys)
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["results"]["filtration_valid"] is False
+    assert report["results"]["filtration_detail"] == "nesting fails at (0, 1)"
+    assert report["results"]["stage_dims"] == [1, 5, 6]
+    assert report["witnesses"] == [{"law": "nesting", "where": [0, 1]}]
+
+
+def test_check_filtration_reports_broken_multiplicativity(tmp_path, capsys):
+    # E12 * E23 = E13 leaves F_0 = span(E12, E23)
+    path = _ut3_with_filtration(tmp_path, [[3, 4], [0, 1, 2, 3, 4], range(6)])
+    code, report = run(["check-filtration", "--input", path], capsys)
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["results"]["filtration_valid"] is False
+    assert report["results"]["algebra_valid"] is True
+    assert report["witnesses"] == [
+        {"law": "multiplicativity", "where": [0, 0], "witness": ["0", "0", "0", "0", "0", "1"]}
+    ]
+
+
+def test_check_filtration_without_filtration_is_input_error(tmp_path, capsys):
+    A, _ = builtin_example("upper-triangular", 3)
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(dump_description(A)))
+    assert main(["check-filtration", "--input", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-my1", "--builtin", "upper-triangular:3", "--samples", "-1"],
+        ["nil-index", "--builtin", "strictly-upper-triangular:3", "--nmax", "0"],
+        ["iso-check", "--builtin", "upper-triangular:3", "--maxdeg", "-1"],
+    ],
+)
+def test_exit_2_on_out_of_range_values(argv, capsys):
+    assert main(argv) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_explicit_nmax_is_the_cutoff(capsys):
+    code, report = run(
+        ["nil-index", "--builtin", "strictly-upper-triangular:3", "--nmax", "2"], capsys
+    )
+    assert code == 0
+    assert report["results"]["cutoff"] == 2
+    assert report["results"]["index"] is None
