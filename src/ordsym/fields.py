@@ -97,11 +97,6 @@ class Field:
     def is_finite(self) -> bool:
         return self.kind == "GF"
 
-    @property
-    def cardinality(self) -> int | None:
-        """Number of elements, or None for the infinite field Q."""
-        return self.p if self.kind == "GF" else None
-
     def scalar(self, value) -> "Scalar":
         return Scalar(self, value)
 

@@ -112,10 +112,6 @@ class Subspace:
     def contains(self, vector: Iterable) -> bool:
         return not any(self.reduce(vector))
 
-    def contains_space(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return all(self.contains(r) for r in other.rows)
-
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         return Subspace(self.field, self.ambient, list(self.rows) + list(other.rows))

@@ -211,6 +211,8 @@ def integral_witness(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if deg_max is not None and deg_max < 0:
+        raise ValueError("deg_max must be >= 0")
     filtration = a.filtration
     base = filtration.algebra
     f = base.field

@@ -244,16 +244,25 @@ def test_check_filtration_reports_broken_nesting(tmp_path, capsys):
     assert report["witnesses"] == [{"law": "nesting", "where": [0, 1]}]
 
 
-def test_check_filtration_reports_broken_multiplicativity(tmp_path, capsys):
-    # E12 * E23 = E13 leaves F_0 = span(E12, E23)
-    path = _ut3_with_filtration(tmp_path, [[3, 4], [0, 1, 2, 3, 4], range(6)])
+@pytest.mark.parametrize(
+    "stages, where",
+    [
+        # E12 * E23 = E13 leaves F_0 = span(E12, E23)
+        ([[3, 4], [0, 1, 2, 3, 4], range(6)], [0, 0]),
+        # E12 * E23 = E13 leaves F_2 = F_1, after F_1's diagonal rows pass
+        ([[0, 1, 2], [0, 1, 2, 3, 4], [0, 1, 2, 3, 4], range(6)], [1, 1]),
+    ],
+    ids=["at-0-0", "at-1-1"],
+)
+def test_check_filtration_reports_broken_multiplicativity(tmp_path, capsys, stages, where):
+    path = _ut3_with_filtration(tmp_path, stages)
     code, report = run(["check-filtration", "--input", path], capsys)
     assert code == 1
     assert report["status"] == "fail"
     assert report["results"]["filtration_valid"] is False
     assert report["results"]["algebra_valid"] is True
     assert report["witnesses"] == [
-        {"law": "multiplicativity", "where": [0, 0], "witness": ["0", "0", "0", "0", "0", "1"]}
+        {"law": "multiplicativity", "where": where, "witness": ["0", "0", "0", "0", "0", "1"]}
     ]
 
 
@@ -270,6 +279,7 @@ def test_check_filtration_without_filtration_is_input_error(tmp_path, capsys):
         ["verify-my1", "--builtin", "upper-triangular:3", "--samples", "-1"],
         ["nil-index", "--builtin", "strictly-upper-triangular:3", "--nmax", "0"],
         ["iso-check", "--builtin", "upper-triangular:3", "--maxdeg", "-1"],
+        ["rees-integrality", "--builtin", "truncated-polynomial:3", "--degmax", "-1"],
     ],
 )
 def test_exit_2_on_out_of_range_values(argv, capsys):
