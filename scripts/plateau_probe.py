@@ -19,12 +19,21 @@ Usage: python scripts/plateau_probe.py [--trials N] [--seed N]
 import argparse
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ordsym.algebra import sym_span_chain
 from ordsym.catalog import builtin_example
 from ordsym.fields import QQ, Field
+
+FIELDS = [QQ, Field("GF", 5), Field("GF", 3), Field("GF", 2)]
+CASES = [
+    ("upper-triangular", 3),
+    ("strictly-upper-triangular", 4),
+    ("truncated-polynomial", 4),
+    ("exterior-algebra", 3),
+]
 
 
 def main() -> int:
@@ -34,17 +43,10 @@ def main() -> int:
     args = parser.parse_args()
     rng = random.Random(args.seed)
 
-    fields = [QQ, Field("GF", 5), Field("GF", 3), Field("GF", 2)]
-    cases = [
-        ("upper-triangular", 3),
-        ("strictly-upper-triangular", 4),
-        ("truncated-polynomial", 4),
-        ("exterior-algebra", 3),
-    ]
     total = bad = 0
-    for field in fields:
+    for field in FIELDS:
         field_bad = 0
-        for name, param in cases:
+        for name, param in CASES:
             algebra = builtin_example(name, param, field)[0]
             for m in (1, 2, 3):
                 for _ in range(args.trials):

@@ -12,8 +12,9 @@ Usage: python scripts/run_builtin_checks.py [--seed N]
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ordsym.algebra import uniform_nil_index
 from ordsym.catalog import builtin_example

@@ -13,15 +13,19 @@ degreewise spans are computed by the first-letter recursion
 
 (proved and property-tested in the free algebra, transported here by the
 evaluation homomorphism), which is exponentially cheaper than expanding
-the symmetric sums word by word.
+the symmetric sums word by word.  One level walk, _nonzero_levels, runs it
+for sym_span_in, sym_span_chain and uniform_nil_index and ends at the
+first all-zero level.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import partial
+from itertools import accumulate, count, islice, takewhile
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .fields import Field, Scalar
 from .freealg import FreePoly, multidegrees
@@ -51,6 +55,9 @@ Coords = tuple[Scalar, ...]
 class ValidationReport:
     ok: bool
     failures: list[dict] = dc_field(default_factory=list)
+    # what a passing check built and its caller may reuse (a filtration's
+    # adapted basis); not part of the report's value
+    basis: object = dc_field(default=None, init=False, repr=False, compare=False)
 
     def describe(self) -> str:
         if self.ok:
@@ -330,23 +337,35 @@ def _first_level(elts: Sequence[AlgElement]) -> dict[tuple[int, ...], AlgElement
     }
 
 
+def _nonzero_levels(elts: Sequence[AlgElement]) -> Iterator[dict[tuple[int, ...], AlgElement]]:
+    """The levels of degree 1, 2, ... of the first-letter recursion, up to an all-zero one.
+
+    Each level is a sum of element multiples of the one before, so an
+    all-zero level forces every later level to zero: the walk ends there,
+    without yielding it.  A level is computed only when it is asked for,
+    and an empty tuple raises at the call rather than at the first step.
+    """
+    if not elts:
+        raise ValueError("need at least one element")
+    levels = accumulate(count(2), partial(_level_values, elts), initial=_first_level(elts))
+    return takewhile(lambda level: not all(v.is_zero() for v in level.values()), levels)
+
+
 def sym_span_in(elts: Sequence[AlgElement], n: int) -> Subspace:
     """Span of all degree-n order-symmetric values, in algebra coordinates.
 
-    Once every value of some level vanishes, all later levels vanish too
-    (each is a sum of element multiples of the previous one), so the walk
-    short-circuits to the zero subspace; degree-N checks with N far above
-    the nilpotency degree cost nothing extra.
+    The level walk ends at the first all-zero level, so degree-N checks with
+    N far above the nilpotency degree cost nothing extra: a walk that ends
+    before degree n leaves the zero subspace.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
+    levels = _nonzero_levels(elts)
     algebra = elts[0].algebra
-    level = _first_level(elts)
-    for total in range(2, n + 1):
-        if all(v.is_zero() for v in level.values()):
-            return Subspace.zero(algebra.field, algebra.dim)
-        level = _level_values(elts, level, total)
-    return Subspace(algebra.field, algebra.dim, [v.coords for v in level.values()])
+    for degree, level in enumerate(islice(levels, n), start=1):
+        if degree == n:
+            return Subspace(algebra.field, algebra.dim, [v.coords for v in level.values()])
+    return Subspace.zero(algebra.field, algebra.dim)
 
 
 @dataclass
@@ -383,45 +402,29 @@ def sym_span_chain(
     stop_at_plateau=False (and a taller max_degree) when the tail matters;
     uniform_algebraic_bound does exactly that for its certificate.
     """
-    if not elts:
-        raise ValueError("need at least one element")
+    levels = _nonzero_levels(elts)
     algebra = elts[0].algebra
-    cap = algebra.dim if max_degree is None else max_degree
-    cap = max(cap, 1)
-    vectors: list[Coords] = []
+    cap = max(algebra.dim if max_degree is None else max_degree, 1)
+    cum = Subspace.zero(algebra.field, algebra.dim)
     if include_degree_zero:
         if not algebra.is_unital:
             raise ValueError("degree-zero component needs a unital algebra")
-        vectors.append(algebra.unit)
-    cum = Subspace(algebra.field, algebra.dim, vectors)
+        cum.insert(algebra.unit)
     growth: list[int] = []
-    stabilized_at: Optional[int] = None
-    level = _first_level(elts)
-    total = 1
-    while total <= cap:
+    for level in islice(levels, cap):
         before = cum.dim
-        cum = cum + Subspace(algebra.field, algebra.dim, [v.coords for v in level.values()])
+        for v in level.values():
+            cum.insert(v.coords)
         growth.append(cum.dim - before)
-        if growth[-1] == 0 and stabilized_at is None:
-            stabilized_at = total
-            if stop_at_plateau:
-                break
-        if cum.dim == algebra.dim and total < cap:
-            # the span is the whole algebra: every later degree adds zero
-            if stabilized_at is None:
-                stabilized_at = total + 1
-            if stop_at_plateau:
-                growth.append(0)
-            else:
-                growth.extend([0] * (cap - total))
+        if cum.dim == algebra.dim or (stop_at_plateau and not growth[-1]):
             break
-        total += 1
-        if total <= cap:
-            if all(v.is_zero() for v in level.values()):
-                # an all-zero level forces all later ones to zero exactly
-                growth.extend([0] * (cap - total + 1))
-                break
-            level = _level_values(elts, level, total)
+    # Every degree the walk did not reach adds nothing: the span is already
+    # the whole algebra, or a level vanished and all later ones with it.
+    if not stop_at_plateau:
+        growth.extend([0] * (cap - len(growth)))
+    elif 0 not in growth and len(growth) < cap:
+        growth.append(0)
+    stabilized_at = growth.index(0) + 1 if 0 in growth else None
     return ChainResult(growth, cum, stabilized_at, include_degree_zero)
 
 
@@ -434,8 +437,7 @@ def uniform_nil_index(elts: Sequence[AlgElement], cutoff: Optional[int] = None) 
     later ones, by the first-letter recursion, so the first all-zero level
     is exactly the certificate degree.
     """
-    if not elts:
-        raise ValueError("need at least one element")
+    levels = _nonzero_levels(elts)
     algebra = elts[0].algebra
     cap = algebra.dim + 1 if cutoff is None else cutoff
     # A non-nilpotent member rules out a zero span at every degree: the
@@ -443,13 +445,8 @@ def uniform_nil_index(elts: Sequence[AlgElement], cutoff: Optional[int] = None) 
     for e in elts:
         if e.nil_index(cap) is None:
             return None
-    level = _first_level(elts)
-    for n in range(1, cap + 1):
-        if all(v.is_zero() for v in level.values()):
-            return n
-        if n < cap:
-            level = _level_values(elts, level, n + 1)
-    return None
+    nonzero = sum(1 for _ in islice(levels, cap))
+    return nonzero + 1 if nonzero < cap else None
 
 
 def brute_force_nil_index(
@@ -501,9 +498,8 @@ def algebraic_degree(a: AlgElement, unital: bool = False) -> int:
     spanned = Subspace(algebra.field, algebra.dim, seed)
     p = a
     for d in range(1, algebra.dim + 3):
-        if spanned.contains(p.coords):
+        if not spanned.insert(p.coords):
             return d
-        spanned = spanned + Subspace(algebra.field, algebra.dim, [p.coords])
         p = p * a
     raise RuntimeError("unreachable: powers span a bounded space")
 

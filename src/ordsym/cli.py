@@ -38,7 +38,6 @@ from .graded import (
     Filtration,
     InvalidFiltrationError,
     associated_graded,
-    validate_filtration,
     verify_graded_nil_index,
 )
 from .io import InputError, load_path
@@ -112,10 +111,10 @@ def _load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Option
             return algebra, None
         if filtration is None:
             raise InputError("this command needs a filtration in the description")
-        freport = validate_filtration(algebra, filtration.stages)
-        if not freport.ok:
-            raise FiltrationFailure(filtration, freport)
-        return algebra, filtration
+        try:
+            return algebra, Filtration(algebra, filtration.stages)
+        except InvalidFiltrationError as e:
+            raise FiltrationFailure(filtration, e.report) from None
     raise InputError("need --input FILE or --builtin NAME:PARAM")
 
 

@@ -92,7 +92,9 @@ def validate_filtration(algebra: StructureAlgebra, stages: Sequence[Subspace]) -
                         return ValidationReport(False, [
                             {"law": "multiplicativity", "where": (i, j), "witness": prod}
                         ])
-    return ValidationReport(True)
+    report = ValidationReport(True)
+    report.basis = adapted, component_dims
+    return report
 
 
 def _adapted_basis(
@@ -107,28 +109,30 @@ def _adapted_basis(
     component_dims: list[int] = []
     grown = Subspace.zero(algebra.field, algebra.dim)
     for p, stage in enumerate(stages):
-        added = 0
-        for row in stage.rows:
-            if not grown.contains(row):
-                adapted.append((p, row))
-                grown = grown + Subspace(algebra.field, algebra.dim, [row])
-                added += 1
-        component_dims.append(added)
+        kept = [row for row in stage.rows if grown.insert(row)]
+        adapted.extend((p, row) for row in kept)
+        component_dims.append(len(kept))
     return adapted, component_dims
 
 
 class Filtration:
-    """Validated chain F_0 <= ... <= F_t with F_t the whole algebra."""
+    """Validated chain F_0 <= ... <= F_t with F_t the whole algebra.
 
-    __slots__ = ("algebra", "stages")
+    Validation keeps the adapted basis it checked the laws on, so
+    associated_graded does not build it again.
+    """
+
+    __slots__ = ("algebra", "stages", "_basis")
 
     def __init__(self, algebra: StructureAlgebra, stages: Sequence[Subspace], check: bool = True):
         self.algebra = algebra
         self.stages = tuple(stages)
+        self._basis = None
         if check:
             report = validate_filtration(algebra, self.stages)
             if not report.ok:
                 raise InvalidFiltrationError(report)
+            self._basis = report.basis
 
     @property
     def top(self) -> int:
@@ -218,7 +222,7 @@ def associated_graded(filtration: Filtration) -> GradedAlgebra:
     """
     base = filtration.algebra
     f = base.field
-    adapted, component_dims = _adapted_basis(base, filtration.stages)
+    adapted, component_dims = filtration._basis or _adapted_basis(base, filtration.stages)
     mat = [[adapted[i][1][r] for i in range(len(adapted))] for r in range(base.dim)]
     to_adapted = invert_matrix(f, mat)
     mul: dict[tuple[int, int], dict[int, Scalar]] = {}

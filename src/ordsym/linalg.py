@@ -3,11 +3,14 @@
 A Subspace is held as its reduced row-echelon basis, which is a canonical
 form: two subspaces are equal iff their bases are identical tuples.  Plain
 Gaussian elimination with exact scalar arithmetic throughout; no pivoting
-heuristics are needed because nothing here is approximate.
+heuristics are needed because nothing here is approximate.  A span that
+grows one vector at a time goes through Subspace.insert, which keeps that
+form without eliminating the whole basis again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .fields import Field, Scalar
@@ -106,11 +109,30 @@ class Subspace:
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
                 f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
+                v = [a - f * b if b else a for a, b in zip(v, row)]
         return tuple(v)
 
     def contains(self, vector: Iterable) -> bool:
         return not any(self.reduce(vector))
+
+    def insert(self, vector: Iterable) -> bool:
+        """Grow the span by one vector in place; True when the dimension grew.
+
+        The residual is scaled to a leading one and its pivot column is
+        cleared from the other rows, so the basis stays the canonical
+        reduced one.  Only for a span its caller owns: it changes the hash.
+        """
+        v = self.reduce(vector)
+        p = next((k for k, c in enumerate(v) if c), None)
+        if p is None:
+            return False
+        inv = v[p].inv()
+        v = tuple(c * inv for c in v)
+        rows = [tuple(a - r[p] * b for a, b in zip(r, v)) if r[p] else r for r in self.rows]
+        at = bisect_left(self.pivots, p)
+        self.rows = (*rows[:at], v, *rows[at:])
+        self.pivots = (*self.pivots[:at], p, *self.pivots[at:])
+        return True
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)

@@ -158,6 +158,16 @@ def test_chain_degree_zero_component():
     assert chain.cumulative.contains(A.unit)
 
 
+@pytest.mark.parametrize(
+    "walk",
+    [lambda elts: sym_span_in(elts, 2), sym_span_chain, uniform_nil_index],
+    ids=["sym_span_in", "sym_span_chain", "uniform_nil_index"],
+)
+def test_level_walks_reject_an_empty_tuple(walk):
+    with pytest.raises(ValueError, match="need at least one element"):
+        walk([])
+
+
 def test_nil_index_pair():
     A = ut3()
     assert uniform_nil_index([unit_elt(A, "E12"), unit_elt(A, "E23")]) == 3

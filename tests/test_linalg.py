@@ -77,6 +77,23 @@ def test_echelon_idempotence(rows):
     assert piv == piv2
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, Field("GF", 7)]), st.integers(min_value=1, max_value=5), st.data())
+def test_insert_one_at_a_time_matches_batch_echelon(field, ncols, data):
+    rows = data.draw(st.lists(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=2), min_size=ncols, max_size=ncols),
+        max_size=7,
+    ))
+    grown = Subspace.zero(field, ncols)
+    for k, row in enumerate(vecs(field, rows)):
+        before = grown.dim
+        assert grown.insert(row) == (grown.dim == before + 1)
+        assert grown.dim in (before, before + 1)
+        batch = Subspace(field, ncols, vecs(field, rows[: k + 1]))
+        assert (grown.rows, grown.pivots) == (batch.rows, batch.pivots)
+        assert grown == batch
+
+
 @given(small_matrix, st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=3), min_size=3, max_size=3))
 def test_contains_agrees_with_solvability(rows, target):
     mat = vecs(QQ, rows)

@@ -1,0 +1,216 @@
+"""Differential tests: the growing spans against the re-eliminating ones.
+
+`sym_span_chain`, `algebraic_degree` and `_adapted_basis` grow one span
+with `Subspace.insert`, and `sym_span_in`, `sym_span_chain` and
+`uniform_nil_index` share one first-letter level walk.  The references
+below are the versions they replaced: each added vector re-eliminates the
+whole basis through `contains` and `+ Subspace(...)`, and each function
+runs its own level loop with its own exit.  Both sides must give the same
+whole results on seeded tuples in every builtin over Q, GF(2), GF(3),
+GF(5) and GF(101), and the same adapted bases on rebased and corrupted
+filtrations.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Optional
+
+import pytest
+
+from ordsym.algebra import (
+    _first_level,
+    _level_values,
+    algebraic_degree,
+    sym_span_chain,
+    sym_span_in,
+    uniform_nil_index,
+)
+from ordsym.catalog import builtin_example, builtin_names
+from ordsym.fields import Field
+from ordsym.graded import _adapted_basis
+from ordsym.linalg import Subspace
+from test_validate_reference import corrupt_stages, rebased
+
+FIELDS = [Field("Q"), Field("GF", 2), Field("GF", 3), Field("GF", 5), Field("GF", 101)]
+SIZES = {"upper-triangular": 3, "strictly-upper-triangular": 4,
+         "truncated-polynomial": 4, "exterior-algebra": 3}
+
+
+def reference_sym_span_in(elts, n: int) -> Subspace:
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    if not elts:
+        raise ValueError("need at least one element")
+    algebra = elts[0].algebra
+    level = _first_level(elts)
+    for total in range(2, n + 1):
+        if all(v.is_zero() for v in level.values()):
+            return Subspace.zero(algebra.field, algebra.dim)
+        level = _level_values(elts, level, total)
+    return Subspace(algebra.field, algebra.dim, [v.coords for v in level.values()])
+
+
+def reference_sym_span_chain(elts, include_degree_zero=False, stop_at_plateau=True, max_degree=None):
+    """(growth, cumulative, stabilized_at) with the cumulative span rebuilt every degree."""
+    if not elts:
+        raise ValueError("need at least one element")
+    algebra = elts[0].algebra
+    cap = algebra.dim if max_degree is None else max_degree
+    cap = max(cap, 1)
+    vectors = []
+    if include_degree_zero:
+        if not algebra.is_unital:
+            raise ValueError("degree-zero component needs a unital algebra")
+        vectors.append(algebra.unit)
+    cum = Subspace(algebra.field, algebra.dim, vectors)
+    growth: list[int] = []
+    stabilized_at: Optional[int] = None
+    level = _first_level(elts)
+    total = 1
+    while total <= cap:
+        before = cum.dim
+        cum = cum + Subspace(algebra.field, algebra.dim, [v.coords for v in level.values()])
+        growth.append(cum.dim - before)
+        if growth[-1] == 0 and stabilized_at is None:
+            stabilized_at = total
+            if stop_at_plateau:
+                break
+        if cum.dim == algebra.dim and total < cap:
+            if stabilized_at is None:
+                stabilized_at = total + 1
+            if stop_at_plateau:
+                growth.append(0)
+            else:
+                growth.extend([0] * (cap - total))
+            break
+        total += 1
+        if total <= cap:
+            if all(v.is_zero() for v in level.values()):
+                growth.extend([0] * (cap - total + 1))
+                break
+            level = _level_values(elts, level, total)
+    return growth, cum, stabilized_at
+
+
+def reference_uniform_nil_index(elts, cutoff=None):
+    if not elts:
+        raise ValueError("need at least one element")
+    algebra = elts[0].algebra
+    cap = algebra.dim + 1 if cutoff is None else cutoff
+    for e in elts:
+        if e.nil_index(cap) is None:
+            return None
+    level = _first_level(elts)
+    for n in range(1, cap + 1):
+        if all(v.is_zero() for v in level.values()):
+            return n
+        if n < cap:
+            level = _level_values(elts, level, n + 1)
+    return None
+
+
+def reference_algebraic_degree(a, unital=False) -> int:
+    algebra = a.algebra
+    seed = [algebra.unit_element().coords] if unital else []
+    spanned = Subspace(algebra.field, algebra.dim, seed)
+    p = a
+    for d in range(1, algebra.dim + 3):
+        if spanned.contains(p.coords):
+            return d
+        spanned = spanned + Subspace(algebra.field, algebra.dim, [p.coords])
+        p = p * a
+    raise RuntimeError("unreachable: powers span a bounded space")
+
+
+def reference_adapted_basis(algebra, stages):
+    adapted = []
+    component_dims = []
+    grown = Subspace.zero(algebra.field, algebra.dim)
+    for p, stage in enumerate(stages):
+        added = 0
+        for row in stage.rows:
+            if not grown.contains(row):
+                adapted.append((p, row))
+                grown = grown + Subspace(algebra.field, algebra.dim, [row])
+                added += 1
+        component_dims.append(added)
+    return adapted, component_dims
+
+
+def seeded_tuples(name: str, algebra, rng: random.Random):
+    """Tuples of m = 1..3 elements: dense, sparse (zero levels and plateaus) and basis elements.
+
+    In truncated-polynomial, (t^2, t) is added: over GF(2) its degree-2
+    values add nothing and its degree-3 values grow the span again.
+    """
+    for m in (1, 2, 3):
+        yield [algebra.element([rng.randint(-1, 1) for _ in range(algebra.dim)]) for _ in range(m)]
+        yield [algebra.element([rng.choice((0, 0, 0, 1, -1)) for _ in range(algebra.dim)]) for _ in range(m)]
+        yield [algebra.basis_element(i) for i in rng.sample(range(algebra.dim), m)]
+    if name == "truncated-polynomial":
+        yield [algebra.basis_element(2), algebra.basis_element(1)]
+
+
+def outcome(call):
+    """A call's result, or the message of the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_spans_and_walks_match_references(field):
+    seen = set()
+    for name in builtin_names():
+        algebra = builtin_example(name, SIZES[name], field)[0]
+        rng = random.Random(f"{name}/{field}")
+        for elts in seeded_tuples(name, algebra, rng):
+            for include_degree_zero in (False, True):
+                for stop_at_plateau in (True, False):
+                    for max_degree in (None, 2, algebra.dim + 3):
+                        kw = dict(include_degree_zero=include_degree_zero,
+                                  stop_at_plateau=stop_at_plateau, max_degree=max_degree)
+                        expected = outcome(lambda: reference_sym_span_chain(elts, **kw))
+                        got = outcome(lambda: sym_span_chain(elts, **kw))
+                        if isinstance(expected, str):
+                            assert got == expected, (name, kw)
+                            seen.add("raises")
+                            continue
+                        growth, cumulative, stabilized_at = expected
+                        assert got.growth == growth, (name, kw)
+                        assert got.cumulative.rows == cumulative.rows, (name, kw)
+                        assert got.cumulative.pivots == cumulative.pivots, (name, kw)
+                        assert got.stabilized_at == stabilized_at, (name, kw)
+                        assert got.includes_degree_zero == include_degree_zero
+                        if 0 in growth and any(growth[growth.index(0):]):
+                            seen.add("regrowth after a plateau")
+                        if cumulative.dim == algebra.dim and len(growth) > 1:
+                            seen.add("whole algebra")
+            for n in (1, 2, 3, algebra.dim + 2):
+                assert sym_span_in(elts, n).rows == reference_sym_span_in(elts, n).rows, (name, n)
+            for cutoff in (None, 1, 2, 3):
+                index = reference_uniform_nil_index(elts, cutoff)
+                assert uniform_nil_index(elts, cutoff) == index, (name, cutoff)
+                if index is not None:
+                    seen.add("zero level")
+            for e in elts:
+                for unital in (False, True) if algebra.is_unital else (False,):
+                    assert algebraic_degree(e, unital) == reference_algebraic_degree(e, unital), name
+    expected_paths = {"raises", "whole algebra", "zero level"}
+    if field.is_finite and field.p == 2:
+        expected_paths.add("regrowth after a plateau")
+    assert expected_paths <= seen, seen
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_adapted_basis_matches_reference(field):
+    for name in builtin_names():
+        algebra, filtration = builtin_example(name, SIZES[name], field)
+        for seed in range(4):
+            rng = random.Random(seed)
+            base, stages = rebased(algebra, list(filtration.stages), rng) if seed else (algebra, filtration.stages)
+            cases = [stages, corrupt_stages(base, stages, rng)]
+            for case in cases:
+                assert _adapted_basis(base, case) == reference_adapted_basis(base, case), (name, seed)

@@ -1,4 +1,8 @@
-"""Each CLI request validates every algebra and its filtration exactly once."""
+"""Each CLI request validates every algebra and its filtration exactly once.
+
+It also builds the filtration's adapted basis once: validation keeps the
+basis it checked the laws on, and associated_graded reuses it.
+"""
 
 import json
 from collections import Counter
@@ -15,10 +19,11 @@ COMMANDS = ["gr", "verify-my1", "iso-check", "rees-integrality", "check-filtrati
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Record every StructureAlgebra.validate receiver and validate_filtration call."""
-    seen = {"algebras": [], "filtrations": 0}
+    """Record every StructureAlgebra.validate receiver, validate_filtration and _adapted_basis call."""
+    seen = {"algebras": [], "filtrations": 0, "adapted_bases": 0}
     validate = StructureAlgebra.validate
     validate_filtration = graded.validate_filtration
+    adapted_basis = graded._adapted_basis
 
     def counting_validate(self):
         seen["algebras"].append(self)
@@ -28,7 +33,12 @@ def counted(monkeypatch):
         seen["filtrations"] += 1
         return validate_filtration(*args, **kwargs)
 
+    def counting_adapted_basis(*args, **kwargs):
+        seen["adapted_bases"] += 1
+        return adapted_basis(*args, **kwargs)
+
     monkeypatch.setattr(StructureAlgebra, "validate", counting_validate)
+    monkeypatch.setattr(graded, "_adapted_basis", counting_adapted_basis)
     for module in (graded, cli):
         if getattr(module, "validate_filtration", None) is validate_filtration:
             monkeypatch.setattr(module, "validate_filtration", counting_validate_filtration)
@@ -52,3 +62,4 @@ def test_validation_runs_once_per_object(command, source, counted, ut3_file, cap
     per_object = Counter(id(a) for a in counted["algebras"])
     assert per_object and set(per_object.values()) == {1}, per_object
     assert counted["filtrations"] == 1
+    assert counted["adapted_bases"] == 1
