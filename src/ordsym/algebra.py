@@ -317,16 +317,27 @@ def sym_values(elts: Sequence[AlgElement], max_total: int) -> dict[tuple[int, ..
 def _level_values(
     elts: Sequence[AlgElement], level: dict[tuple[int, ...], AlgElement], total: int
 ) -> dict[tuple[int, ...], AlgElement]:
-    """One step of the first-letter recursion: degree total-1 values -> total."""
+    """One step of the first-letter recursion: degree total-1 values -> total.
+
+    Each value starts from its first nonzero product, and zero parents and
+    zero products add nothing; a profile with no nonzero product gets one
+    shared zero element.
+    """
     m = len(elts)
+    zero = elts[0].algebra.zero_element()
+    live = {md: v for md, v in level.items() if not v.is_zero()}
     nxt: dict[tuple[int, ...], AlgElement] = {}
     for md in multidegrees(total, m):
-        acc = elts[0].algebra.zero_element()
+        acc = None
         for j in range(m):
             if md[j]:
-                parent = tuple(md[t] - (1 if t == j else 0) for t in range(m))
-                acc = acc + elts[j] * level[parent]
-        nxt[md] = acc
+                parent = live.get(tuple(md[t] - (1 if t == j else 0) for t in range(m)))
+                if parent is None:
+                    continue
+                term = elts[j] * parent
+                if not term.is_zero():
+                    acc = term if acc is None else acc + term
+        nxt[md] = zero if acc is None else acc
     return nxt
 
 

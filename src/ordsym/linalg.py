@@ -2,10 +2,14 @@
 
 A Subspace is held as its reduced row-echelon basis, which is a canonical
 form: two subspaces are equal iff their bases are identical tuples.  Plain
-Gaussian elimination with exact scalar arithmetic throughout; no pivoting
-heuristics are needed because nothing here is approximate.  A span that
-grows one vector at a time goes through Subspace.insert, which keeps that
-form without eliminating the whole basis again.
+Gaussian elimination with exact arithmetic; no pivoting heuristics are
+needed because nothing here is approximate.  rref, the one elimination
+kernel under Subspace, the solvers and every batch span, runs on raw field
+values (bare Fractions over Q, residues mod p over GF(p)) and skips zero
+entries; Scalar appears only at its boundary, where entries are read after
+a field check and result rows are wrapped back.  A span that grows one
+vector at a time goes through Subspace.insert, which keeps the canonical
+form without eliminating the whole basis again; it still works on Scalars.
 """
 
 from __future__ import annotations
@@ -33,12 +37,22 @@ def as_vector(field: Field, coords: Iterable) -> Vector:
 
 
 def rref(field: Field, rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    for r in work:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Each entry's raw value is read once, after a field check: a reduced
+    Fraction over Q, a residue in [0, p) over GF(p).  Elimination runs on
+    those values and skips zero entries, and only the rows it returns are
+    wrapped back into Scalars, all zero entries sharing one.  The pivot of
+    each column is the first nonzero row at or below the current one.
+    """
+    ncols = len(rows[0]) if rows else 0
+    work = []
+    for r in rows:
         if len(r) != ncols:
             raise ValueError("ragged input: rows of unequal length")
+        # Scalar(field, x) raises on a foreign field and coerces int/Fraction.
+        work.append([x.value if x.__class__ is Scalar and x.field is field else Scalar(field, x).value for x in r])
+    p = field.p
     pivots: list[int] = []
     col = 0
     rix = 0
@@ -48,18 +62,32 @@ def rref(field: Field, rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scal
             col += 1
             continue
         work[rix], work[piv] = work[piv], work[rix]
-        inv = work[rix][col].inv()
-        work[rix] = [x * inv for x in work[rix]]
-        for i in range(len(work)):
-            if i != rix and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rix])]
+        prow = work[rix]
+        # Rows at or below rix are zero left of col, so the pivot row's
+        # nonzero entries all sit at col or later.
+        nz = [(k, prow[k]) for k in range(col, ncols) if prow[k]]
+        lead = prow[col]
+        if lead != 1:
+            inv = pow(lead, -1, p) if p else 1 / lead
+            nz = [(k, b * inv % p if p else b * inv) for k, b in nz]
+            for k, b in nz:
+                prow[k] = b
+        for i, row in enumerate(work):
+            f = row[col]
+            if f and i != rix:
+                if p:
+                    for k, b in nz:
+                        row[k] = (row[k] - f * b) % p
+                else:
+                    for k, b in nz:
+                        row[k] -= f * b
         pivots.append(col)
         rix += 1
         col += 1
     # Pivot rows sit in positions 0..rank-1 and later pivots have already
     # cleared their columns in the earlier rows, so this slice is reduced.
-    return work[: len(pivots)], pivots
+    zero = field.zero()
+    return [[Scalar(field, x) if x else zero for x in r] for r in work[: len(pivots)]], pivots
 
 
 class Subspace:

@@ -222,6 +222,7 @@ def integral_witness(
         (base.unit_element(),) if base.is_unital else ()
     ]
     cur: tuple[AlgElement, ...] = ()
+    zero, zero_element = f.zero(), base.zero_element()
     for n in range(1, n_max + 1):
         cur = a.coeffs if n == 1 else _ax_mul(cur, a.coeffs, base)
         powers.append(cur)
@@ -235,7 +236,7 @@ def integral_witness(
         rhs = []
         target = powers[n]
         for e in range(e_max + 1):
-            t_coeff = target[e] if e < len(target) else base.zero_element()
+            t_coeff = target[e] if e < len(target) else zero_element
             for c in range(base.dim):
                 row = []
                 for i, j in unknowns:
@@ -244,7 +245,7 @@ def integral_witness(
                     if 0 <= shift < len(pw):
                         row.append(pw[shift].coords[c])
                     else:
-                        row.append(f.zero())
+                        row.append(zero)
                 rows.append(row)
                 rhs.append(t_coeff.coords[c])
         if not unknowns:
@@ -254,7 +255,7 @@ def integral_witness(
         if sol is not None:
             multipliers = []
             for i in range(n):
-                coeffs = [f.zero()] * (cap + 1)
+                coeffs = [zero] * (cap + 1)
                 for col, (ui, uj) in enumerate(unknowns):
                     if ui == i:
                         coeffs[uj] = sol[col]

@@ -33,6 +33,14 @@ README_EXAMPLES = [
     ["rees-integrality", "--builtin", "truncated-polynomial:4", "--nmax", "4"],
     ["iso-check", "--builtin", "exterior-algebra:3", "--maxdeg", "4"],
 ]
+# Exact solves pinned by value: Rees elements with fractional coefficients,
+# whose multipliers are fractional over Q, and the word-coordinate spans of
+# span-dim.
+REES_COEFFS = {
+    "truncated-polynomial:4": [[0, 0, 0, 0], ["1/2", 2, 0, 0], [-2, "1/3", 2, 0], [2, 1, "-3/2", 1]],
+    "upper-triangular:3": [[0] * 6, ["1/2", 2, -2, 1, "2/3", 0], [2, "-1/3", 2, 1, -1, "3/4"]],
+}
+SPAN_DIMS = [("6", "3"), ("8", "2")]
 FILTRATION_COMMANDS = ["check-filtration", "gr", "verify-my1", "rees-integrality", "iso-check"]
 CORRUPTED_COMMANDS = ["gr", "verify-my1", "iso-check", "rees-integrality", "nil-index"]
 
@@ -64,6 +72,13 @@ def pinned_runs() -> list[list[str]]:
     for name in ("bad-assoc", "bad-mult"):
         for command in CORRUPTED_COMMANDS:
             runs.append([command, "--input", "{%s}" % name])
+    for field in ("Q", "GF:101"):
+        for builtin, coeffs in REES_COEFFS.items():
+            runs.append(["rees-integrality", "--builtin", builtin, "--nmax", builtin.split(":")[1],
+                         "--coeffs", json.dumps(coeffs), "--field", field])
+        for n, m in SPAN_DIMS:
+            runs.append(["span-dim", "--n", n, "--m", m, "--field", field])
+            runs.append(["span-dim", "--n", n, "--m", m, "--include-zero", "--field", field])
     return runs
 
 
