@@ -14,20 +14,22 @@ degreewise spans are computed by the first-letter recursion
 (proved and property-tested in the free algebra, transported here by the
 evaluation homomorphism), which is exponentially cheaper than expanding
 the symmetric sums word by word.  One level walk, _nonzero_levels, runs it
-for sym_span_in, sym_span_chain and uniform_nil_index and ends at the
-first all-zero level.
+for sym_values, sym_span_in, sym_span_chain and uniform_nil_index.  It
+pushes each nonzero value of a level into the profiles above it, so a
+level holds only its nonzero values, and the walk ends at the first empty
+level.  Products run on raw field values (bare Fractions over Q, residues
+mod p over GF(p)) against structure constants cached the same way.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import partial
-from itertools import accumulate, count, islice, takewhile
+from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .fields import Field, Scalar
+from .fields import Field, Scalar, raw_values
 from .freealg import FreePoly, multidegrees
 from .linalg import Subspace
 
@@ -80,7 +82,7 @@ class StructureAlgebra:
     the product of basis elements i and j; absent pairs multiply to zero.
     """
 
-    __slots__ = ("field", "dim", "names", "mul", "unit")
+    __slots__ = ("field", "dim", "names", "mul", "unit", "_by_left", "_zero")
 
     def __init__(
         self,
@@ -107,6 +109,12 @@ class StructureAlgebra:
             if row:
                 clean[(i, j)] = row
         self.mul = clean
+        # per left factor i, the raw constants c_ij^k as pairs (j, [(k, c), ...]),
+        # whole rationals as ints
+        self._by_left = [[] for _ in range(self.dim)]
+        for (i, j), row in clean.items():
+            self._by_left[i].append((j, [(k, _whole_as_int(c.value)) for k, c in row.items()]))
+        self._zero = field.zero()
         self.unit = None if unit is None else tuple(Scalar(field, c) for c in unit)
         if self.unit is not None and len(self.unit) != self.dim:
             raise ValueError("unit vector has wrong length")
@@ -120,20 +128,32 @@ class StructureAlgebra:
         return self.unit is not None
 
     def multiply_coords(self, a: Sequence[Scalar], b: Sequence[Scalar]) -> Coords:
-        out = [self.field.zero()] * self.dim
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                entry = self.mul.get((i, j))
-                if not entry:
-                    continue
-                f = ai * bj
-                for k, c in entry.items():
-                    out[k] = out[k] + f * c
-        return tuple(out)
+        """Coordinates of the product, computed on raw field values.
+
+        Entries are read as raw values after a field check, so a Scalar of
+        another field raises ValueError and int or Fraction entries are
+        coerced.  Sums run on ints and Fractions, reduced once mod p over
+        GF(p), and only the nonzero outputs are wrapped back into Scalars.
+        """
+        field, p = self.field, self.field.p
+        a, b = raw_values(field, a), raw_values(field, b)
+        if len(a) != self.dim or len(b) != self.dim:
+            raise ValueError("coordinate vector has wrong length")
+        if not p:  # whole rationals multiply much faster as ints
+            a, b = ([x.numerator if x.denominator == 1 else x for x in v] for v in (a, b))
+        out = [0] * self.dim
+        for x, products in zip(a, self._by_left):
+            if x:
+                for j, row in products:
+                    y = b[j]
+                    if y:
+                        f = x * y
+                        for k, c in row:
+                            out[k] += f * c
+        if p:
+            out = [v % p for v in out]
+        zero = self._zero
+        return tuple(Scalar(field, v) if v else zero for v in out)
 
     def validate(self) -> ValidationReport:
         """Associativity on all basis triples, unit laws if a unit is declared.
@@ -185,6 +205,11 @@ class StructureAlgebra:
 
     def __repr__(self) -> str:
         return f"StructureAlgebra(dim={self.dim}, field={self.field})"
+
+
+def _whole_as_int(v):
+    """A raw value with denominator 1 as a bare int (a residue mod p already is one)."""
+    return v.numerator if v.denominator == 1 else v
 
 
 def _combine(terms: Iterable[tuple[Scalar, dict[int, Scalar]]]) -> dict[int, Scalar]:
@@ -300,72 +325,81 @@ def sym_values(elts: Sequence[AlgElement], max_total: int) -> dict[tuple[int, ..
     """Values of every order-symmetric sum of total degree 1..max_total.
 
     Computed by the first-letter recursion, one algebra multiplication per
-    lattice edge; agrees with evaluate(sym_poly(profile), elts) everywhere
-    (tested), but stays polynomial in the degree.
+    lattice edge out of a nonzero value; agrees with
+    evaluate(sym_poly(profile), elts) everywhere (tested), but stays
+    polynomial in the degree.  Every profile is returned, degree by degree
+    in multidegrees order, the ones the walk leaves out as zero.
     """
-    if not elts:
-        raise ValueError("need at least one element")
+    levels = _nonzero_levels(elts)
+    zero = elts[0].algebra.zero_element()
     vals: dict[tuple[int, ...], AlgElement] = {}
-    level = _first_level(elts)
-    vals.update(level)
-    for total in range(2, max_total + 1):
-        level = _level_values(elts, level, total)
-        vals.update(level)
+    for total in range(1, max_total + 1):
+        level = next(levels, {})
+        for md in multidegrees(total, len(elts)):
+            vals[md] = level.get(md, zero)
     return vals
 
 
 def _level_values(
-    elts: Sequence[AlgElement], level: dict[tuple[int, ...], AlgElement], total: int
+    elts: Sequence[AlgElement], level: dict[tuple[int, ...], AlgElement]
 ) -> dict[tuple[int, ...], AlgElement]:
-    """One step of the first-letter recursion: degree total-1 values -> total.
+    """One step of the first-letter recursion, pushed from the nonzero values of a level.
 
-    Each value starts from its first nonzero product, and zero parents and
-    zero products add nothing; a profile with no nonzero product gets one
-    shared zero element.
+    s[profile] = sum_j a_j * s[profile - e_j], so each value s[md] adds
+    a_j * s[md] into the profile md + e_j.  Zero products add nothing and
+    sums that cancel are dropped, so the next level holds only its nonzero
+    values too.
     """
-    m = len(elts)
-    zero = elts[0].algebra.zero_element()
-    live = {md: v for md, v in level.items() if not v.is_zero()}
     nxt: dict[tuple[int, ...], AlgElement] = {}
-    for md in multidegrees(total, m):
-        acc = None
-        for j in range(m):
-            if md[j]:
-                parent = live.get(tuple(md[t] - (1 if t == j else 0) for t in range(m)))
-                if parent is None:
+    for md, v in level.items():
+        for j, a in enumerate(elts):
+            term = a * v
+            if term.is_zero():
+                continue
+            child = (*md[:j], md[j] + 1, *md[j + 1:])
+            if child in nxt:
+                term = nxt[child] + term
+                if term.is_zero():
+                    del nxt[child]
                     continue
-                term = elts[j] * parent
-                if not term.is_zero():
-                    acc = term if acc is None else acc + term
-        nxt[md] = zero if acc is None else acc
+            nxt[child] = term
     return nxt
 
 
 def _first_level(elts: Sequence[AlgElement]) -> dict[tuple[int, ...], AlgElement]:
+    """The nonzero degree-1 values: a_j at the profile e_j."""
     m = len(elts)
     return {
-        tuple(1 if t == j else 0 for t in range(m)): elts[j] for j in range(m)
+        tuple(1 if t == j else 0 for t in range(m)): e
+        for j, e in enumerate(elts)
+        if not e.is_zero()
     }
 
 
 def _nonzero_levels(elts: Sequence[AlgElement]) -> Iterator[dict[tuple[int, ...], AlgElement]]:
-    """The levels of degree 1, 2, ... of the first-letter recursion, up to an all-zero one.
+    """The levels of degree 1, 2, ... of the first-letter recursion, up to an empty one.
 
-    Each level is a sum of element multiples of the one before, so an
-    all-zero level forces every later level to zero: the walk ends there,
-    without yielding it.  A level is computed only when it is asked for,
-    and an empty tuple raises at the call rather than at the first step.
+    A level maps each profile with a nonzero value to that value.  Each
+    level is pushed from the one before, so an empty level forces every
+    later level to be empty: the walk ends there, without yielding it.  A
+    level is computed only when it is asked for, and an empty tuple raises
+    at the call rather than at the first step.
     """
     if not elts:
         raise ValueError("need at least one element")
-    levels = accumulate(count(2), partial(_level_values, elts), initial=_first_level(elts))
-    return takewhile(lambda level: not all(v.is_zero() for v in level.values()), levels)
+
+    def walk(level):
+        while level:
+            yield level
+            level = _level_values(elts, level)
+
+    return walk(_first_level(elts))
 
 
 def sym_span_in(elts: Sequence[AlgElement], n: int) -> Subspace:
     """Span of all degree-n order-symmetric values, in algebra coordinates.
 
-    The level walk ends at the first all-zero level, so degree-N checks with
+    The level walk ends at the first empty level, so degree-N checks with
     N far above the nilpotency degree cost nothing extra: a walk that ends
     before degree n leaves the zero subspace.
     """
@@ -445,7 +479,7 @@ def uniform_nil_index(elts: Sequence[AlgElement], cutoff: Optional[int] = None) 
     A zero span at degree n certifies that every linear combination of the
     elements has n-th power zero, over any field (no field-size hypothesis
     for this direction).  Once some degree's values all vanish, so do all
-    later ones, by the first-letter recursion, so the first all-zero level
+    later ones, by the first-letter recursion, so the first empty level
     is exactly the certificate degree.
     """
     levels = _nonzero_levels(elts)

@@ -203,7 +203,7 @@ class Scalar:
         return Scalar(self.field, self.value**n)
 
     def __bool__(self) -> bool:
-        return self.value != 0
+        return self.value.numerator != 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -219,6 +219,16 @@ class Scalar:
 
     def __repr__(self) -> str:
         return str(self.value)
+
+
+def raw_values(field: Field, entries) -> list:
+    """The raw values of entries read as elements of field.
+
+    A Scalar of that very Field object is read as it is; anything else goes
+    through Scalar(field, x), which raises ValueError on a foreign field and
+    coerces int and Fraction entries.
+    """
+    return [x.value if x.__class__ is Scalar and x.field is field else Scalar(field, x).value for x in entries]
 
 
 Descriptor = Union[Field, str, dict]

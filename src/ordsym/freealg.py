@@ -254,20 +254,30 @@ def word_basis(m: int, lengths: Iterable[int]) -> list[Word]:
 
 def poly_vector(p: FreePoly, basis: Sequence[Word]) -> tuple[Scalar, ...]:
     """Coordinates of a polynomial in an explicit word basis."""
+    return _vectorizer(basis)(p)
+
+
+def _vectorizer(basis: Sequence[Word]):
+    """poly_vector for one basis, with its word index built once."""
     index = {w: i for i, w in enumerate(basis)}
-    coords = [p.field.zero()] * len(basis)
-    for w, c in p._terms.items():
-        try:
-            coords[index[w]] = c
-        except KeyError:
-            raise ValueError(f"word {w} outside the chosen basis") from None
-    return tuple(coords)
+
+    def vector(p: FreePoly) -> tuple[Scalar, ...]:
+        coords = [p.field.zero()] * len(basis)
+        for w, c in p._terms.items():
+            try:
+                coords[index[w]] = c
+            except KeyError:
+                raise ValueError(f"word {w} outside the chosen basis") from None
+        return tuple(coords)
+
+    return vector
 
 
 def sym_span(n: int, m: int, field: Field) -> Subspace:
     """Span of all order-symmetric sums of total degree n, in word coordinates."""
     basis = word_basis(m, [n])
-    vecs = [poly_vector(sym_poly(md, field), basis) for md in multidegrees(n, m)]
+    vector = _vectorizer(basis)
+    vecs = [vector(sym_poly(md, field)) for md in multidegrees(n, m)]
     return Subspace(field, len(basis), vecs)
 
 
@@ -279,11 +289,12 @@ def sym_span_upto(r: int, m: int, field: Field, include_degree_zero: bool = Fals
     starts the cumulative span at degree 1.
     """
     basis = word_basis(m, range(r + 1))
+    vector = _vectorizer(basis)
     vecs = []
     lo = 0 if include_degree_zero else 1
     for n in range(lo, r + 1):
         for md in multidegrees(n, m):
-            vecs.append(poly_vector(sym_poly(md, field), basis))
+            vecs.append(vector(sym_poly(md, field)))
     return Subspace(field, len(basis), vecs)
 
 
@@ -305,7 +316,8 @@ def power_span_grid(
     grid: list[tuple[Scalar, ...]] = [()]
     for _ in range(m):
         grid = [t + (x,) for t in grid for x in sample]
-    vecs = [poly_vector(linear_power(pt, n), basis) for pt in grid]
+    vector = _vectorizer(basis)
+    vecs = [vector(linear_power(pt, n)) for pt in grid]
     space = Subspace(field, len(basis), vecs)
     return space, len(sample) >= n + 1
 

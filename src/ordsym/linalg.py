@@ -3,13 +3,15 @@
 A Subspace is held as its reduced row-echelon basis, which is a canonical
 form: two subspaces are equal iff their bases are identical tuples.  Plain
 Gaussian elimination with exact arithmetic; no pivoting heuristics are
-needed because nothing here is approximate.  rref, the one elimination
-kernel under Subspace, the solvers and every batch span, runs on raw field
+needed because nothing here is approximate.  Elimination runs on raw field
 values (bare Fractions over Q, residues mod p over GF(p)) and skips zero
-entries; Scalar appears only at its boundary, where entries are read after
-a field check and result rows are wrapped back.  A span that grows one
-vector at a time goes through Subspace.insert, which keeps the canonical
-form without eliminating the whole basis again; it still works on Scalars.
+entries; Scalar appears only at the boundary, where entries are read after
+a field check and result rows are wrapped back.  rref is the one batch
+kernel, under Subspace, the solvers and every batch span.  A Subspace keeps
+its basis as raw rows too, so reduce and contains eliminate one vector
+against them, and insert grows a span one vector at a time and keeps the
+canonical form without eliminating the whole basis again, wrapping only
+the rows it changes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
-from .fields import Field, Scalar
+from .fields import Field, Scalar, raw_values
 
 __all__ = [
     "Subspace",
@@ -50,8 +52,7 @@ def rref(field: Field, rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scal
     for r in rows:
         if len(r) != ncols:
             raise ValueError("ragged input: rows of unequal length")
-        # Scalar(field, x) raises on a foreign field and coerces int/Fraction.
-        work.append([x.value if x.__class__ is Scalar and x.field is field else Scalar(field, x).value for x in r])
+        work.append(raw_values(field, r))
     p = field.p
     pivots: list[int] = []
     col = 0
@@ -93,7 +94,7 @@ def rref(field: Field, rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scal
 class Subspace:
     """A subspace of field^ambient with canonical reduced-echelon basis."""
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_raw")
 
     def __init__(self, field: Field, ambient: int, rows: Sequence[Sequence[Scalar]] = ()):
         if ambient < 0:
@@ -106,6 +107,8 @@ class Subspace:
         self.ambient = ambient
         self.rows = tuple(tuple(r) for r in red)
         self.pivots = tuple(piv)
+        # the basis as raw values, for reduce, contains and insert
+        self._raw = [[x.value for x in r] for r in red]
 
     @classmethod
     def span(cls, field: Field, ambient: int, vectors: Iterable[Iterable]) -> "Subspace":
@@ -129,37 +132,52 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def reduce(self, vector: Iterable) -> Vector:
-        """Residual of a vector after elimination against the basis."""
-        v = list(as_vector(self.field, vector))
+    def _residual(self, vector: Iterable) -> list:
+        """Raw values of a vector after elimination against the basis."""
+        v = raw_values(self.field, vector)
         if len(v) != self.ambient:
             raise ValueError("vector length != ambient dimension")
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b if b else a for a, b in zip(v, row)]
-        return tuple(v)
+        p = self.field.p
+        for row, c in zip(self._raw, self.pivots):
+            if v[c]:
+                v = _sub_multiple(v, v[c], row, p)
+        return v
+
+    def reduce(self, vector: Iterable) -> Vector:
+        """Residual of a vector after elimination against the basis."""
+        return _wrap(self.field, self._residual(vector), self.field.zero())
 
     def contains(self, vector: Iterable) -> bool:
-        return not any(self.reduce(vector))
+        return not any(self._residual(vector))
 
     def insert(self, vector: Iterable) -> bool:
         """Grow the span by one vector in place; True when the dimension grew.
 
         The residual is scaled to a leading one and its pivot column is
         cleared from the other rows, so the basis stays the canonical
-        reduced one.  Only for a span its caller owns: it changes the hash.
+        reduced one; only the rows that change are wrapped into Scalars
+        again.  Only for a span its caller owns: it changes the hash.
         """
-        v = self.reduce(vector)
-        p = next((k for k, c in enumerate(v) if c), None)
-        if p is None:
+        v = self._residual(vector)
+        c = next((k for k, x in enumerate(v) if x), None)
+        if c is None:
             return False
-        inv = v[p].inv()
-        v = tuple(c * inv for c in v)
-        rows = [tuple(a - r[p] * b for a, b in zip(r, v)) if r[p] else r for r in self.rows]
-        at = bisect_left(self.pivots, p)
-        self.rows = (*rows[:at], v, *rows[at:])
-        self.pivots = (*self.pivots[:at], p, *self.pivots[at:])
+        field, p = self.field, self.field.p
+        lead = v[c]
+        if lead != 1:
+            inv = pow(lead, -1, p) if p else 1 / lead
+            v = [x * inv % p if p else x * inv for x in v]
+        zero = field.zero()
+        raw, rows = self._raw, list(self.rows)
+        for i, r in enumerate(raw):
+            if r[c]:
+                raw[i] = r = _sub_multiple(r, r[c], v, p)
+                rows[i] = _wrap(field, r, zero)
+        at = bisect_left(self.pivots, c)
+        raw.insert(at, v)
+        rows.insert(at, _wrap(field, v, zero))
+        self.rows = tuple(rows)
+        self.pivots = (*self.pivots[:at], c, *self.pivots[at:])
         return True
 
     def __add__(self, other: "Subspace") -> "Subspace":
@@ -187,6 +205,18 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, field={self.field})"
+
+
+def _wrap(field: Field, values: list, zero: Scalar) -> Vector:
+    """Canonical raw values as Scalars, every zero entry the one given."""
+    return tuple(Scalar(field, x) if x else zero for x in values)
+
+
+def _sub_multiple(v: list, f, row: list, p) -> list:
+    """v - f * row on raw values, reduced mod p over GF(p); zero entries of row are skipped."""
+    if p:
+        return [(a - f * b) % p if b else a for a, b in zip(v, row)]
+    return [a - f * b if b else a for a, b in zip(v, row)]
 
 
 def solve_square(field: Field, a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:

@@ -92,6 +92,23 @@ def test_sym_values_match_direct_evaluation():
                 assert vals[md] == evaluate(sym_poly(md, QQ), elts), md
 
 
+def test_sym_values_keep_every_profile_in_multidegrees_order():
+    """The level walk keeps only nonzero values; sym_values fills the rest with zeros."""
+    A = builtin_example("strictly-upper-triangular", 3)[0]
+    x, y = A.basis_element(0), A.basis_element(1)  # E12, E23: only E12 E23 = E13 is nonzero
+    for elts, nonzero in (([x, y], {(1, 0), (0, 1), (1, 1)}),
+                          ([A.zero_element(), x, y], {(0, 1, 0), (0, 0, 1), (0, 1, 1)})):
+        m = len(elts)
+        vals = sym_values(elts, 4)
+        assert list(vals) == [md for total in range(1, 5) for md in multidegrees(total, m)]
+        assert {md for md, v in vals.items() if not v.is_zero()} == nonzero
+        for md, v in vals.items():
+            assert v == evaluate(sym_poly(md, QQ), elts), md
+    assert sym_values([x, y], 2)[(1, 1)] == A.basis_element(2)
+    with pytest.raises(ValueError):
+        sym_values([], 2)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_evaluate_is_multiplicative(data):

@@ -1,0 +1,179 @@
+"""Differential tests: the raw-value products and growing spans against the Scalar-based ones.
+
+`StructureAlgebra.multiply_coords` multiplies on raw field values against
+structure constants cached by left factor, and `Subspace.reduce`,
+`contains` and `insert` eliminate on raw rows kept beside `rows`.  The
+references below are the versions they replaced, which ran every cell
+through Scalar arithmetic.  Over Q, GF(2), GF(7) and GF(101), both must
+give the same products and residuals with the same raw values, and a
+sequence of inserts must leave the same rows and pivots as the reference
+and as the batch `Subspace(...)` of every vector, with the same hash.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ordsym.algebra import StructureAlgebra
+from ordsym.catalog import builtin_example
+from ordsym.fields import QQ, Field, Scalar
+from ordsym.linalg import Subspace
+from test_rref_reference import FIELDS, entries, matrices, raw
+
+
+def reference_multiply_coords(algebra, a, b):
+    out = [algebra.field.zero()] * algebra.dim
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            if not bj:
+                continue
+            entry = algebra.mul.get((i, j))
+            if not entry:
+                continue
+            f = ai * bj
+            for k, c in entry.items():
+                out[k] = out[k] + f * c
+    return tuple(out)
+
+
+def reference_reduce(rows, pivots, v):
+    v = list(v)
+    for row, p in zip(rows, pivots):
+        if v[p]:
+            f = v[p]
+            v = [a - f * b if b else a for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def reference_insert(rows, pivots, vector):
+    """(grew, rows, pivots) after inserting vector into the echelon basis (rows, pivots)."""
+    v = reference_reduce(rows, pivots, vector)
+    p = next((k for k, c in enumerate(v) if c), None)
+    if p is None:
+        return False, rows, pivots
+    inv = v[p].inv()
+    v = tuple(c * inv for c in v)
+    rows = [tuple(a - r[p] * b for a, b in zip(r, v)) if r[p] else r for r in rows]
+    at = sum(1 for q in pivots if q < p)
+    return True, (*rows[:at], v, *rows[at:]), (*pivots[:at], p, *pivots[at:])
+
+
+def vectors(field, n):
+    return st.lists(entries(field), min_size=n, max_size=n).map(
+        lambda cs: tuple(Scalar(field, c) for c in cs))
+
+
+@st.composite
+def algebras(draw, field):
+    """A bilinear product on field^n with sparse random constants (associativity not needed)."""
+    n = draw(st.integers(1, 5))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n * n))
+    mul = {ij: draw(st.dictionaries(st.integers(0, n - 1), entries(field), max_size=n)) for ij in pairs}
+    return StructureAlgebra(field, [f"b{i}" for i in range(n)], mul, check=False)
+
+
+@st.composite
+def sparse_vectors(draw, field, n):
+    v = draw(vectors(field, n))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return tuple(c if k else field.zero() for c, k in zip(v, keep))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_products_match_reference(field, data):
+    algebra = data.draw(algebras(field))
+    a, b = (data.draw(sparse_vectors(field, algebra.dim)) for _ in range(2))
+    assert raw([algebra.multiply_coords(a, b)]) == raw([reference_multiply_coords(algebra, a, b)])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_builtin_products_match_reference(field):
+    for name, size in (("upper-triangular", 3), ("exterior-algebra", 3), ("truncated-polynomial", 4)):
+        algebra = builtin_example(name, size, field)[0]
+        basis = [e.coords for e in algebra.basis_elements()]
+        dense = tuple(Scalar(field, i - 2) for i in range(algebra.dim))
+        for a in basis + [dense]:
+            for b in basis + [dense]:
+                assert raw([algebra.multiply_coords(a, b)]) == raw([reference_multiply_coords(algebra, a, b)])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_residuals_match_reference(field, data):
+    rows = data.draw(matrices(field, min_rows=1))
+    n = len(rows[0])
+    space = Subspace(field, n, rows)
+    v = data.draw(st.one_of(sparse_vectors(field, n), st.sampled_from(rows).map(tuple)))
+    expected = reference_reduce(space.rows, space.pivots, v)
+    assert raw([space.reduce(v)]) == raw([expected])
+    assert space.contains(v) == (not any(expected))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_inserts_match_reference_and_batch(field, data):
+    seed = data.draw(matrices(field, max_rows=3))
+    n = len(seed[0]) if seed else data.draw(st.integers(1, 6))
+    space = Subspace(field, n, seed)
+    rows, pivots = space.rows, space.pivots
+    added = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        # fresh vectors, vectors already in the span, and the zero vector
+        pool = [tuple(r) for r in seed + added] + [(field.zero(),) * n]
+        v = data.draw(st.one_of(sparse_vectors(field, n), vectors(field, n), st.sampled_from(pool)))
+        grew, rows, pivots = reference_insert(rows, pivots, v)
+        assert space.insert(v) == grew
+        assert raw(space.rows) == raw(rows)
+        assert space.pivots == pivots
+        assert space._raw == [[x.value for x in r] for r in space.rows]
+        added.append(v)
+    batch = Subspace(field, n, seed + added)
+    assert raw(space.rows) == raw(batch.rows)
+    assert space.pivots == batch.pivots
+    assert space == batch and hash(space) == hash(batch)
+
+
+@pytest.mark.parametrize("foreign", [Field("GF", 7), QQ], ids=str)
+def test_foreign_field_scalar_raises(foreign):
+    field = Field("GF", 5) if foreign == QQ else QQ
+    algebra = builtin_example("upper-triangular", 2, field)[0]
+    good = algebra.basis_element(0).coords
+    # a foreign zero is rejected too, not only one that meets a nonzero entry
+    for bad in (Scalar(foreign, 3), Scalar(foreign, 0)):
+        mixed = (bad, *good[1:])
+        with pytest.raises(ValueError):
+            algebra.multiply_coords(good, mixed)
+        with pytest.raises(ValueError):
+            algebra.multiply_coords(mixed, good)
+        space = Subspace(field, algebra.dim, [good])
+        for method in (space.reduce, space.contains, space.insert):
+            with pytest.raises(ValueError):
+                method(mixed)
+        assert space.rows == Subspace(field, algebra.dim, [good]).rows
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 7)], ids=str)
+def test_int_and_fraction_entries_are_coerced(field):
+    algebra = builtin_example("upper-triangular", 2, field)[0]
+    plain = [2, Fraction(1, 2), 3]
+    scalars = tuple(Scalar(field, c) for c in plain)
+    e = algebra.basis_element(0).coords
+    assert raw([algebra.multiply_coords(plain, plain)]) == raw([algebra.multiply_coords(scalars, scalars)])
+    assert raw([algebra.multiply_coords(e, plain)]) == raw([algebra.multiply_coords(e, scalars)])
+    space = Subspace(field, algebra.dim, [e])
+    assert raw([space.reduce(plain)]) == raw([space.reduce(scalars)])
+    assert space.contains([5, 0, 0]) and not space.contains(plain)
+    grown = Subspace(field, algebra.dim, [e])
+    assert space.insert(plain) and grown.insert(scalars)
+    assert raw(space.rows) == raw(grown.rows)
+    with pytest.raises(ValueError, match="length"):
+        algebra.multiply_coords(e, e[:-1])

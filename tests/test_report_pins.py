@@ -41,6 +41,16 @@ REES_COEFFS = {
     "upper-triangular:3": [[0] * 6, ["1/2", 2, -2, 1, "2/3", 0], [2, "-1/3", 2, 1, -1, "3/4"]],
 }
 SPAN_DIMS = [("6", "3"), ("8", "2")]
+# The first-letter level walk, algebra products and growing spans, each run
+# with the fields it is pinned over; over GF(3), nil-index on
+# strictly-upper-triangular:4 is cross-checked by brute force.
+SPAN_CERTIFY = [
+    (["nil-index", "--builtin", "strictly-upper-triangular:6"], ("Q", "GF:101")),
+    (["nil-index", "--builtin", "strictly-upper-triangular:4"], ("GF:3",)),
+    (["verify-my1", "--builtin", "truncated-polynomial:6", "--seed", "7"], ("Q", "GF:101", "GF:3")),
+    (["verify-my1", "--builtin", "exterior-algebra:4", "--seed", "7"], ("GF:2",)),
+    (["alg-bound", "--builtin", "strictly-upper-triangular:4", "--seed", "7"], ("Q", "GF:101")),
+]
 FILTRATION_COMMANDS = ["check-filtration", "gr", "verify-my1", "rees-integrality", "iso-check"]
 CORRUPTED_COMMANDS = ["gr", "verify-my1", "iso-check", "rees-integrality", "nil-index"]
 
@@ -79,6 +89,8 @@ def pinned_runs() -> list[list[str]]:
         for n, m in SPAN_DIMS:
             runs.append(["span-dim", "--n", n, "--m", m, "--field", field])
             runs.append(["span-dim", "--n", n, "--m", m, "--include-zero", "--field", field])
+    for argv, fields in SPAN_CERTIFY:
+        runs.extend([*argv, "--field", field] for field in fields)
     return runs
 
 

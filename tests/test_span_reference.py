@@ -2,11 +2,13 @@
 
 `sym_span_chain`, `algebraic_degree` and `_adapted_basis` grow one span
 with `Subspace.insert`, and `sym_span_in`, `sym_span_chain` and
-`uniform_nil_index` share one first-letter level walk.  The references
-below are the versions they replaced: each added vector re-eliminates the
-whole basis through `contains` and `+ Subspace(...)`, and each function
-runs its own level loop with its own exit.  Both sides must give the same
-whole results on seeded tuples in every builtin over Q, GF(2), GF(3),
+`uniform_nil_index` share one first-letter level walk, which pushes each
+nonzero value into the profiles above it.  The references below are the
+versions they replaced: each added vector re-eliminates the whole basis
+through `contains` and `+ Subspace(...)`, each function runs its own level
+loop with its own exit, and each level is pulled, every profile of the
+degree summing the products of its parents.  Both sides must give the
+same whole results on seeded tuples in every builtin over Q, GF(2), GF(3),
 GF(5) and GF(101), and the same adapted bases on rebased and corrupted
 filtrations.
 """
@@ -19,8 +21,7 @@ from typing import Optional
 import pytest
 
 from ordsym.algebra import (
-    _first_level,
-    _level_values,
+    _nonzero_levels,
     algebraic_degree,
     sym_span_chain,
     sym_span_in,
@@ -28,6 +29,7 @@ from ordsym.algebra import (
 )
 from ordsym.catalog import builtin_example, builtin_names
 from ordsym.fields import Field
+from ordsym.freealg import multidegrees
 from ordsym.graded import _adapted_basis
 from ordsym.linalg import Subspace
 from test_validate_reference import corrupt_stages, rebased
@@ -37,17 +39,43 @@ SIZES = {"upper-triangular": 3, "strictly-upper-triangular": 4,
          "truncated-polynomial": 4, "exterior-algebra": 3}
 
 
+def reference_first_level(elts):
+    m = len(elts)
+    return {tuple(1 if t == j else 0 for t in range(m)): elts[j] for j in range(m)}
+
+
+def reference_level_values(elts, level, total):
+    """The pull step: every profile of degree total sums a_j * s[profile - e_j]
+    over its nonzero parents; a profile with no nonzero product gets zero."""
+    m = len(elts)
+    zero = elts[0].algebra.zero_element()
+    live = {md: v for md, v in level.items() if not v.is_zero()}
+    nxt = {}
+    for md in multidegrees(total, m):
+        acc = None
+        for j in range(m):
+            if md[j]:
+                parent = live.get(tuple(md[t] - (1 if t == j else 0) for t in range(m)))
+                if parent is None:
+                    continue
+                term = elts[j] * parent
+                if not term.is_zero():
+                    acc = term if acc is None else acc + term
+        nxt[md] = zero if acc is None else acc
+    return nxt
+
+
 def reference_sym_span_in(elts, n: int) -> Subspace:
     if n < 1:
         raise ValueError("degree must be >= 1")
     if not elts:
         raise ValueError("need at least one element")
     algebra = elts[0].algebra
-    level = _first_level(elts)
+    level = reference_first_level(elts)
     for total in range(2, n + 1):
         if all(v.is_zero() for v in level.values()):
             return Subspace.zero(algebra.field, algebra.dim)
-        level = _level_values(elts, level, total)
+        level = reference_level_values(elts, level, total)
     return Subspace(algebra.field, algebra.dim, [v.coords for v in level.values()])
 
 
@@ -66,7 +94,7 @@ def reference_sym_span_chain(elts, include_degree_zero=False, stop_at_plateau=Tr
     cum = Subspace(algebra.field, algebra.dim, vectors)
     growth: list[int] = []
     stabilized_at: Optional[int] = None
-    level = _first_level(elts)
+    level = reference_first_level(elts)
     total = 1
     while total <= cap:
         before = cum.dim
@@ -89,7 +117,7 @@ def reference_sym_span_chain(elts, include_degree_zero=False, stop_at_plateau=Tr
             if all(v.is_zero() for v in level.values()):
                 growth.extend([0] * (cap - total + 1))
                 break
-            level = _level_values(elts, level, total)
+            level = reference_level_values(elts, level, total)
     return growth, cum, stabilized_at
 
 
@@ -101,12 +129,12 @@ def reference_uniform_nil_index(elts, cutoff=None):
     for e in elts:
         if e.nil_index(cap) is None:
             return None
-    level = _first_level(elts)
+    level = reference_first_level(elts)
     for n in range(1, cap + 1):
         if all(v.is_zero() for v in level.values()):
             return n
         if n < cap:
-            level = _level_values(elts, level, n + 1)
+            level = reference_level_values(elts, level, n + 1)
     return None
 
 
@@ -202,6 +230,49 @@ def test_spans_and_walks_match_references(field):
     if field.is_finite and field.p == 2:
         expected_paths.add("regrowth after a plateau")
     assert expected_paths <= seen, seen
+
+
+def walk_tuples(name: str, algebra, rng: random.Random):
+    """The seeded tuples, plus one with a zero element, an anticommuting pair
+    (e1 e2 + e2 e1 = 0 in the exterior algebra) and repeats of one element,
+    whose values in a commutative algebra are multinomial multiples of its
+    powers and so cancel mod small p."""
+    yield from seeded_tuples(name, algebra, rng)
+    x, y = algebra.basis_element(1), algebra.basis_element(2)
+    yield [algebra.zero_element(), x]
+    yield [x, y]
+    yield [x, x]
+    yield [x, x, x]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_push_walk_matches_pull_levels(field):
+    """Each pushed level is the nonzero part of the pulled one, and both walks end together."""
+    seen = set()
+    for name in builtin_names():
+        algebra = builtin_example(name, SIZES[name], field)[0]
+        rng = random.Random(f"walk/{name}/{field}")
+        for elts in walk_tuples(name, algebra, rng):
+            if any(e.is_zero() for e in elts):
+                seen.add("zero element")
+            pushed = _nonzero_levels(elts)
+            pulled = reference_first_level(elts)
+            for degree in range(1, algebra.dim + 3):
+                nonzero = {md: v for md, v in pulled.items() if not v.is_zero()}
+                assert next(pushed, {}) == nonzero, (name, degree)
+                if not nonzero:
+                    seen.add("walk ends")
+                    break
+                pulled = reference_level_values(elts, pulled, degree + 1)
+                for md, v in nonzero.items():
+                    for j, a in enumerate(elts):
+                        child = (*md[:j], md[j] + 1, *md[j + 1:])
+                        if pulled[child].is_zero() and not (a * v).is_zero():
+                            seen.add(("cancelled", name))
+    expected = {"zero element", "walk ends", ("cancelled", "exterior-algebra")}
+    if field.is_finite and field.p in (2, 3):
+        expected.add(("cancelled", "truncated-polynomial"))
+    assert expected <= seen, seen
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
