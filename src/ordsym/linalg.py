@@ -3,20 +3,16 @@
 A Subspace is held as its reduced row-echelon basis, which is a canonical
 form: two subspaces are equal iff their bases are identical tuples.  Plain
 Gaussian elimination with exact arithmetic; no pivoting heuristics are
-needed because nothing here is approximate.  Elimination runs on raw field
-values (bare Fractions over Q, residues mod p over GF(p)) and skips zero
-entries; Scalar appears only at the boundary, where entries are read after
-a field check and result rows are wrapped back.  rref is the one batch
-kernel, under Subspace, the solvers and every batch span.  A Subspace keeps
-its basis as raw rows too, so reduce and contains eliminate one vector
-against them, and insert grows a span one vector at a time and keeps the
-canonical form without eliminating the whole basis again, wrapping only
-the rows it changes.
+needed because nothing here is approximate.  There is one elimination: a
+Subspace takes vectors one at a time into a sparse basis of raw field
+values (bare Fractions over Q, residues mod p over GF(p)), which stays the
+canonical form of the vectors read so far.  rref, the solvers and every
+batch span build a Subspace.  Scalar appears only at the boundary, where
+entries are read after a field check and basis rows are wrapped back.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from .fields import Field, Scalar, raw_values
@@ -41,60 +37,20 @@ def as_vector(field: Field, coords: Iterable) -> Vector:
 def rref(field: Field, rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
-    Each entry's raw value is read once, after a field check: a reduced
-    Fraction over Q, a residue in [0, p) over GF(p).  Elimination runs on
-    those values and skips zero entries, and only the rows it returns are
-    wrapped back into Scalars, all zero entries sharing one.  The pivot of
-    each column is the first nonzero row at or below the current one.
+    The rows are the basis of the Subspace they span, which reads them one
+    at a time, so no entry grows beyond those of an echelon form.
     """
     ncols = len(rows[0]) if rows else 0
-    work = []
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("ragged input: rows of unequal length")
-        work.append(raw_values(field, r))
-    p = field.p
-    pivots: list[int] = []
-    col = 0
-    rix = 0
-    while rix < len(work) and col < ncols:
-        piv = next((i for i in range(rix, len(work)) if work[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rix], work[piv] = work[piv], work[rix]
-        prow = work[rix]
-        # Rows at or below rix are zero left of col, so the pivot row's
-        # nonzero entries all sit at col or later.
-        nz = [(k, prow[k]) for k in range(col, ncols) if prow[k]]
-        lead = prow[col]
-        if lead != 1:
-            inv = pow(lead, -1, p) if p else 1 / lead
-            nz = [(k, b * inv % p if p else b * inv) for k, b in nz]
-            for k, b in nz:
-                prow[k] = b
-        for i, row in enumerate(work):
-            f = row[col]
-            if f and i != rix:
-                if p:
-                    for k, b in nz:
-                        row[k] = (row[k] - f * b) % p
-                else:
-                    for k, b in nz:
-                        row[k] -= f * b
-        pivots.append(col)
-        rix += 1
-        col += 1
-    # Pivot rows sit in positions 0..rank-1 and later pivots have already
-    # cleared their columns in the earlier rows, so this slice is reduced.
-    zero = field.zero()
-    return [[Scalar(field, x) if x else zero for x in r] for r in work[: len(pivots)]], pivots
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged input: rows of unequal length")
+    space = Subspace(field, ncols, rows)
+    return [list(r) for r in space.rows], list(space.pivots)
 
 
 class Subspace:
     """A subspace of field^ambient with canonical reduced-echelon basis."""
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "_raw")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_basis")
 
     def __init__(self, field: Field, ambient: int, rows: Sequence[Sequence[Scalar]] = ()):
         if ambient < 0:
@@ -102,13 +58,15 @@ class Subspace:
         for r in rows:
             if len(r) != ambient:
                 raise ValueError("ragged input: vector length != ambient dimension")
-        red, piv = rref(field, rows)
         self.field = field
         self.ambient = ambient
-        self.rows = tuple(tuple(r) for r in red)
-        self.pivots = tuple(piv)
-        # the basis as raw values, for reduce, contains and insert
-        self._raw = [[x.value for x in r] for r in red]
+        # pivot column -> raw values {column: value} of the other nonzero
+        # entries of its basis row
+        self._basis: dict[int, dict] = {}
+        for r in rows:
+            self._add(r)
+        self.pivots = tuple(sorted(self._basis))
+        self.rows = tuple(self._wrap(self.pivots))
 
     @classmethod
     def span(cls, field: Field, ambient: int, vectors: Iterable[Iterable]) -> "Subspace":
@@ -132,52 +90,104 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.rows
 
-    def _residual(self, vector: Iterable) -> list:
-        """Raw values of a vector after elimination against the basis."""
+    def _residual(self, vector: Iterable) -> tuple[list, list[int]]:
+        """Raw values of a vector eliminated against the basis, and its support.
+
+        One pass from the left, testing each entry for zero once: basis rows
+        only hold entries right of their pivots, so an entry is final when
+        the pass reaches it.  Its row clears a nonzero pivot entry; any other
+        nonzero entry joins the support.  Entries off the support are stale.
+        """
         v = raw_values(self.field, vector)
         if len(v) != self.ambient:
             raise ValueError("vector length != ambient dimension")
+        basis, p = self._basis, self.field.p
+        support = []
+        for k, f in enumerate(v):
+            if f:
+                row = basis.get(k)
+                if row is None:
+                    support.append(k)
+                elif p:
+                    for j, b in row.items():
+                        v[j] = (v[j] - f * b) % p
+                else:
+                    for j, b in row.items():
+                        v[j] -= f * b
+        return v, support
+
+    def _add(self, vector: Iterable) -> list[int]:
+        """Add a vector to the raw basis; the pivots of the rows that changed.
+
+        The residual, scaled to a leading one, is the new row (its pivot
+        comes first) and clears its pivot column from the other rows.
+        """
+        v, support = self._residual(vector)
+        if not support:
+            return []
         p = self.field.p
-        for row, c in zip(self._raw, self.pivots):
-            if v[c]:
-                v = _sub_multiple(v, v[c], row, p)
-        return v
+        c, *rest = support
+        if v[c] != 1:
+            inv = pow(v[c], -1, p) if p else 1 / v[c]
+            for k in rest:
+                v[k] = v[k] * inv % p if p else v[k] * inv
+        new = {k: v[k] for k in rest}
+        changed = [c]
+        for q, row in self._basis.items():
+            b = row.pop(c, None)
+            if b is None:
+                continue
+            changed.append(q)
+            for k, x in new.items():
+                y = row.get(k)
+                if y is None:
+                    row[k] = -b * x % p if p else -b * x
+                else:
+                    y = (y - b * x) % p if p else y - b * x
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
+        self._basis[c] = new
+        return changed
+
+    def _wrap(self, pivots: Iterable[int]) -> list[Vector]:
+        """The basis rows of these pivots as Scalars, every zero entry one shared Scalar."""
+        field = self.field
+        zero, one = field.zero(), field.one()
+        out = []
+        for c in pivots:
+            row = [zero] * self.ambient
+            row[c] = one
+            for k, x in self._basis[c].items():
+                row[k] = Scalar(field, x)
+            out.append(tuple(row))
+        return out
 
     def reduce(self, vector: Iterable) -> Vector:
         """Residual of a vector after elimination against the basis."""
-        return _wrap(self.field, self._residual(vector), self.field.zero())
+        v, support = self._residual(vector)
+        out = [self.field.zero()] * self.ambient
+        for k in support:
+            out[k] = Scalar(self.field, v[k])
+        return tuple(out)
 
     def contains(self, vector: Iterable) -> bool:
-        return not any(self._residual(vector))
+        return not self._residual(vector)[1]
 
     def insert(self, vector: Iterable) -> bool:
         """Grow the span by one vector in place; True when the dimension grew.
 
-        The residual is scaled to a leading one and its pivot column is
-        cleared from the other rows, so the basis stays the canonical
-        reduced one; only the rows that change are wrapped into Scalars
-        again.  Only for a span its caller owns: it changes the hash.
+        Only the rows that change are wrapped into Scalars again.  Only for
+        a span its caller owns: it changes the hash.
         """
-        v = self._residual(vector)
-        c = next((k for k, x in enumerate(v) if x), None)
-        if c is None:
+        changed = self._add(vector)
+        if not changed:
             return False
-        field, p = self.field, self.field.p
-        lead = v[c]
-        if lead != 1:
-            inv = pow(lead, -1, p) if p else 1 / lead
-            v = [x * inv % p if p else x * inv for x in v]
-        zero = field.zero()
-        raw, rows = self._raw, list(self.rows)
-        for i, r in enumerate(raw):
-            if r[c]:
-                raw[i] = r = _sub_multiple(r, r[c], v, p)
-                rows[i] = _wrap(field, r, zero)
-        at = bisect_left(self.pivots, c)
-        raw.insert(at, v)
-        rows.insert(at, _wrap(field, v, zero))
-        self.rows = tuple(rows)
-        self.pivots = (*self.pivots[:at], c, *self.pivots[at:])
+        rows = dict(zip(self.pivots, self.rows))
+        rows.update(zip(changed, self._wrap(changed)))
+        self.pivots = tuple(sorted(self._basis))
+        self.rows = tuple(rows[c] for c in self.pivots)
         return True
 
     def __add__(self, other: "Subspace") -> "Subspace":
@@ -205,18 +215,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, field={self.field})"
-
-
-def _wrap(field: Field, values: list, zero: Scalar) -> Vector:
-    """Canonical raw values as Scalars, every zero entry the one given."""
-    return tuple(Scalar(field, x) if x else zero for x in values)
-
-
-def _sub_multiple(v: list, f, row: list, p) -> list:
-    """v - f * row on raw values, reduced mod p over GF(p); zero entries of row are skipped."""
-    if p:
-        return [(a - f * b) % p if b else a for a, b in zip(v, row)]
-    return [a - f * b if b else a for a, b in zip(v, row)]
 
 
 def solve_square(field: Field, a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:

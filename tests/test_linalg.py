@@ -13,6 +13,7 @@ from ordsym.linalg import (
     solve_consistent,
     vandermonde_recover,
 )
+from test_rref_reference import FIELDS, matrices, raw
 
 
 def vecs(field, rows):
@@ -92,6 +93,30 @@ def test_insert_one_at_a_time_matches_batch_echelon(field, ncols, data):
         batch = Subspace(field, ncols, vecs(field, rows[: k + 1]))
         assert (grown.rows, grown.pivots) == (batch.rows, batch.pivots)
         assert grown == batch
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_basis_is_independent_of_row_order(field, data):
+    """rref, a batch Subspace and a grown one read rows one at a time; every
+    order of the same rows (with duplicate, zero and dependent rows among
+    them) must give the same rows, pivots and hash."""
+    rows = data.draw(matrices(field, min_rows=1))
+    n = len(rows[0])
+    red, piv = rref(field, rows)
+    space = Subspace(field, n, rows)
+    for _ in range(3):
+        order = data.draw(st.permutations(rows))
+        got, got_piv = rref(field, order)
+        assert raw(got) == raw(red) and got_piv == piv
+        batch = Subspace(field, n, order)
+        grown = Subspace.zero(field, n)
+        for r in data.draw(st.permutations(rows)):
+            grown.insert(r)
+        for other in (batch, grown):
+            assert raw(other.rows) == raw(red) and other.pivots == tuple(piv)
+            assert other == space and hash(other) == hash(space)
 
 
 @given(small_matrix, st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=3), min_size=3, max_size=3))

@@ -2,9 +2,9 @@
 
 `StructureAlgebra.multiply_coords` multiplies on raw field values against
 structure constants cached by left factor, and `Subspace.reduce`,
-`contains` and `insert` eliminate on raw rows kept beside `rows`.  The
-references below are the versions they replaced, which ran every cell
-through Scalar arithmetic.  Over Q, GF(2), GF(7) and GF(101), both must
+`contains` and `insert` eliminate against a sparse raw basis kept beside
+`rows`.  The references below are the versions they replaced, which ran
+every cell through Scalar arithmetic.  Over Q, GF(2), GF(7) and GF(101), both must
 give the same products and residuals with the same raw values, and a
 sequence of inserts must leave the same rows and pivots as the reference
 and as the batch `Subspace(...)` of every vector, with the same hash.
@@ -134,7 +134,10 @@ def test_inserts_match_reference_and_batch(field, data):
         assert space.insert(v) == grew
         assert raw(space.rows) == raw(rows)
         assert space.pivots == pivots
-        assert space._raw == [[x.value for x in r] for r in space.rows]
+        # the raw basis holds each row's nonzero entries right of its pivot, with their types
+        stored = {c: {k: (type(x), x) for k, x in row.items()} for c, row in space._basis.items()}
+        assert stored == {c: {k: (type(x.value), x.value) for k, x in enumerate(r) if x and k != c}
+                          for c, r in zip(space.pivots, space.rows)}
         added.append(v)
     batch = Subspace(field, n, seed + added)
     assert raw(space.rows) == raw(batch.rows)

@@ -51,6 +51,9 @@ SPAN_CERTIFY = [
     (["verify-my1", "--builtin", "exterior-algebra:4", "--seed", "7"], ("GF:2",)),
     (["alg-bound", "--builtin", "strictly-upper-triangular:4", "--seed", "7"], ("Q", "GF:101")),
 ]
+# The largest integrality systems over Q, where the intermediate entries of
+# an elimination can grow far beyond those of its echelon form.
+GROWTH = [(["rees-integrality", "--builtin", "truncated-polynomial:6", "--nmax", "6"], ("Q", "GF:101"))]
 FILTRATION_COMMANDS = ["check-filtration", "gr", "verify-my1", "rees-integrality", "iso-check"]
 CORRUPTED_COMMANDS = ["gr", "verify-my1", "iso-check", "rees-integrality", "nil-index"]
 
@@ -89,7 +92,7 @@ def pinned_runs() -> list[list[str]]:
         for n, m in SPAN_DIMS:
             runs.append(["span-dim", "--n", n, "--m", m, "--field", field])
             runs.append(["span-dim", "--n", n, "--m", m, "--include-zero", "--field", field])
-    for argv, fields in SPAN_CERTIFY:
+    for argv, fields in SPAN_CERTIFY + GROWTH:
         runs.extend([*argv, "--field", field] for field in fields)
     return runs
 
