@@ -17,8 +17,10 @@ the symmetric sums word by word.  One level walk, _nonzero_levels, runs it
 for sym_values, sym_span_in, sym_span_chain and uniform_nil_index.  It
 pushes each nonzero value of a level into the profiles above it, so a
 level holds only its nonzero values, and the walk ends at the first empty
-level.  Products run on raw field values (bare Fractions over Q, residues
-mod p over GF(p)) against structure constants cached the same way.
+level.  Arithmetic runs on raw field values (bare Fractions over Q,
+residues mod p over GF(p)): products against structure constants cached
+the same way, which validate reads too, and every sum, difference and
+scalar multiple of elements through linalg.combine.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .fields import Field, Scalar, raw_values
+from .fields import Field, Scalar, raw_values, whole_as_int
 from .freealg import FreePoly, multidegrees
-from .linalg import Subspace
+from .linalg import Subspace, combine
 
 __all__ = [
     "ValidationReport",
@@ -109,11 +111,11 @@ class StructureAlgebra:
             if row:
                 clean[(i, j)] = row
         self.mul = clean
-        # per left factor i, the raw constants c_ij^k as pairs (j, [(k, c), ...]),
-        # whole rationals as ints
-        self._by_left = [[] for _ in range(self.dim)]
+        # per left factor i, the raw constants c_ij^k as {j: {k: c}}, whole
+        # rationals as ints
+        self._by_left: list[dict[int, dict[int, object]]] = [{} for _ in range(self.dim)]
         for (i, j), row in clean.items():
-            self._by_left[i].append((j, [(k, _whole_as_int(c.value)) for k, c in row.items()]))
+            self._by_left[i][j] = {k: whole_as_int(c.value) for k, c in row.items()}
         self._zero = field.zero()
         self.unit = None if unit is None else tuple(Scalar(field, c) for c in unit)
         if self.unit is not None and len(self.unit) != self.dim:
@@ -144,11 +146,11 @@ class StructureAlgebra:
         out = [0] * self.dim
         for x, products in zip(a, self._by_left):
             if x:
-                for j, row in products:
+                for j, row in products.items():
                     y = b[j]
                     if y:
                         f = x * y
-                        for k, c in row:
+                        for k, c in row.items():
                             out[k] += f * c
         if p:
             out = [v % p for v in out]
@@ -158,23 +160,29 @@ class StructureAlgebra:
     def validate(self) -> ValidationReport:
         """Associativity on all basis triples, unit laws if a unit is declared.
 
-        Associativity is read off the structure constants: the sparse rows
-        sum_l c_ij^l (e_l e_k) and sum_l c_jk^l (e_i e_l) must agree.  Stops
-        at the first violating triple per law, as the witnesses are what
-        mutation tests need.
+        Associativity is read off the raw structure constants that
+        multiply_coords uses: for each pair (i, j), the sparse rows
+        (e_i e_j) e_k = sum_l c_ij^l (e_l e_k) and e_i (e_j e_k) =
+        sum_l c_jk^l (e_i e_l) are summed for every k at once and must
+        agree.  Stops at the first violating triple per law, as the
+        witnesses are what mutation tests need.
         """
-        mul, zero = self.mul, self.field.zero()
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = mul.get((i, j), {})
-                for k in range(self.dim):
-                    lhs = _combine((c, mul.get((l, k), {})) for l, c in ij.items())
-                    rhs = _combine((c, mul.get((i, l), {})) for l, c in mul.get((j, k), {}).items())
-                    if lhs != rhs:
-                        lhs, rhs = (tuple(r.get(m, zero) for m in range(self.dim)) for r in (lhs, rhs))
-                        return ValidationReport(False, [
-                            {"law": "associativity", "where": (i, j, k), "lhs": lhs, "rhs": rhs}
-                        ])
+        by_left, p, dim = self._by_left, self.field.p, self.dim
+        for i, left in enumerate(by_left):
+            for j in range(dim):
+                lhs = _sparse_rows(p, (
+                    (k, c, row) for l, c in left.get(j, {}).items() for k, row in by_left[l].items()
+                ))
+                rhs = _sparse_rows(p, (
+                    (k, c, left[l]) for k, jk in by_left[j].items() for l, c in jk.items() if l in left
+                ))
+                if lhs != rhs:
+                    k = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
+                    lhs, rhs = (tuple(Scalar(self.field, r[m]) if m in r else self._zero for m in range(dim))
+                                for r in (lhs.get(k, {}), rhs.get(k, {})))
+                    return ValidationReport(False, [
+                        {"law": "associativity", "where": (i, j, k), "lhs": lhs, "rhs": rhs}
+                    ])
         if self.unit is not None:
             for i in range(self.dim):
                 e = self.basis_element(i).coords
@@ -207,18 +215,17 @@ class StructureAlgebra:
         return f"StructureAlgebra(dim={self.dim}, field={self.field})"
 
 
-def _whole_as_int(v):
-    """A raw value with denominator 1 as a bare int (a residue mod p already is one)."""
-    return v.numerator if v.denominator == 1 else v
-
-
-def _combine(terms: Iterable[tuple[Scalar, dict[int, Scalar]]]) -> dict[int, Scalar]:
-    """sum c * row over (c, row) pairs, as a sparse row without zero entries."""
-    out: dict[int, Scalar] = {}
-    for c, row in terms:
-        for k, d in row.items():
-            out[k] = out[k] + c * d if k in out else c * d
-    return {k: v for k, v in out.items() if v}
+def _sparse_rows(p: Optional[int], terms: Iterable[tuple[int, object, dict]]) -> dict[int, dict]:
+    """sum c * row into row k over (k, c, row) triples of raw sparse rows, without zeros."""
+    out: dict[int, dict] = {}
+    for k, c, row in terms:
+        acc = out.setdefault(k, {})
+        for m, d in row.items():
+            acc[m] = acc.get(m, 0) + c * d
+    if p:
+        out = {k: {m: v % p for m, v in acc.items()} for k, acc in out.items()}
+    out = {k: {m: v for m, v in acc.items() if v} for k, acc in out.items()}
+    return {k: acc for k, acc in out.items() if acc}
 
 
 class AlgElement:
@@ -236,24 +243,27 @@ class AlgElement:
         if self.algebra is not other.algebra:
             raise ValueError("elements of different algebras")
 
+    def _combine(self, terms) -> "AlgElement":
+        algebra = self.algebra
+        return AlgElement(algebra, combine(algebra.field, algebra.dim, terms))
+
     def __add__(self, other: "AlgElement") -> "AlgElement":
         self._check(other)
-        return AlgElement(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._combine(((1, self.coords), (1, other.coords)))
 
     def __sub__(self, other: "AlgElement") -> "AlgElement":
         self._check(other)
-        return AlgElement(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._combine(((1, self.coords), (-1, other.coords)))
 
     def __neg__(self) -> "AlgElement":
-        return AlgElement(self.algebra, tuple(-a for a in self.coords))
+        return self._combine(((-1, self.coords),))
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
             self._check(other)
             return AlgElement(self.algebra, self.algebra.multiply_coords(self.coords, other.coords))
         if isinstance(other, (Scalar, int)):
-            c = Scalar(self.algebra.field, other)
-            return AlgElement(self.algebra, tuple(c * a for a in self.coords))
+            return self._combine(((other, self.coords),))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -317,7 +327,7 @@ def evaluate(p: FreePoly, assignment: Sequence[AlgElement]) -> AlgElement:
             term = assignment[word[0] - 1]
             for letter in word[1:]:
                 term = term * assignment[letter - 1]
-        acc = acc + coeff * term
+        acc = acc + term * coeff
     return acc
 
 
@@ -518,9 +528,7 @@ def brute_force_nil_index(
     for _ in elts:
         combos = [t + (c,) for t in combos for c in f.elements()]
     for coeffs in combos:
-        v = algebra.zero_element()
-        for c, e in zip(coeffs, elts):
-            v = v + c * e
+        v = AlgElement(algebra, combine(f, algebra.dim, zip(coeffs, (e.coords for e in elts))))
         idx = v.nil_index(cap)
         if idx is None:
             return None
@@ -606,10 +614,8 @@ def uniform_algebraic_bound(
     rng = random.Random(seed)
     degrees: list[int] = []
     for _ in range(samples):
-        v = algebra.zero_element()
-        for e in elts:
-            v = v + rng.randint(-3, 3) * e
-        degrees.append(algebraic_degree(v))
+        v = combine(algebra.field, algebra.dim, ((rng.randint(-3, 3), e.coords) for e in elts))
+        degrees.append(algebraic_degree(AlgElement(algebra, v)))
     if any(deg > bound for deg in degrees):
         raise RuntimeError("algebraicity bound violated by a sampled element")
     return BoundResult(d, bound, chain, degrees)

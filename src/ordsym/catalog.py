@@ -1,6 +1,8 @@
 """Built-in filtered algebras for desk-scale checks.
 
-Each builder returns a validated (StructureAlgebra, Filtration) pair:
+Each builder returns a validated (StructureAlgebra, Filtration) pair, and
+every stage of every builtin filtration is spanned by a prefix of the
+coordinate vectors:
 
 - upper-triangular n: all upper-triangular n x n matrix units, filtered by
   band width (diagonal first); unital.
@@ -15,6 +17,7 @@ Each builder returns a validated (StructureAlgebra, Filtration) pair:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from .algebra import StructureAlgebra
@@ -25,13 +28,10 @@ from .linalg import Subspace
 __all__ = ["builtin_example", "builtin_names", "matrix_unit_algebra"]
 
 
-def _unit_vectors(field: Field, dim: int, indices: list[int]) -> list[list]:
-    rows = []
-    for i in indices:
-        row = [field.zero()] * dim
-        row[i] = field.one()
-        rows.append(row)
-    return rows
+def _prefix_filtration(algebra: StructureAlgebra, counts: list[int]) -> Filtration:
+    """The filtration whose stage i is spanned by the first counts[i] coordinate vectors."""
+    units = Subspace.full(algebra.field, algebra.dim).rows
+    return Filtration(algebra, [Subspace(algebra.field, algebra.dim, units[:c]) for c in counts])
 
 
 def matrix_unit_algebra(
@@ -62,34 +62,16 @@ def matrix_unit_algebra(
     return StructureAlgebra(field, names, mul, unit=unit)
 
 
-def _upper_triangular(n: int, field: Field) -> tuple[StructureAlgebra, Filtration]:
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
-    positions = [(i, i + band) for band in range(n) for i in range(1, n - band + 1)]
-    algebra = matrix_unit_algebra(field, positions, unital=True)
-    stages = []
-    count = 0
-    for band in range(n):
-        count += n - band
-        stages.append(
-            Subspace.span(field, algebra.dim, _unit_vectors(field, algebra.dim, list(range(count))))
+def _triangular(n: int, field: Field, strict: bool) -> tuple[StructureAlgebra, Filtration]:
+    """Matrix units on the bands from `strict` up, band by band; stage i holds bands up to i."""
+    if n < 1 + strict:
+        raise ValueError(
+            "strictly upper-triangular algebra needs size >= 2" if strict else "matrix size must be >= 1"
         )
-    return algebra, Filtration(algebra, stages)
-
-
-def _strictly_upper_triangular(n: int, field: Field) -> tuple[StructureAlgebra, Filtration]:
-    if n < 2:
-        raise ValueError("strictly upper-triangular algebra needs size >= 2")
-    positions = [(i, i + band) for band in range(1, n) for i in range(1, n - band + 1)]
-    algebra = matrix_unit_algebra(field, positions, unital=False)
-    stages = [Subspace.zero(field, algebra.dim)]
-    count = 0
-    for band in range(1, n):
-        count += n - band
-        stages.append(
-            Subspace.span(field, algebra.dim, _unit_vectors(field, algebra.dim, list(range(count))))
-        )
-    return algebra, Filtration(algebra, stages)
+    positions = [(i, i + band) for band in range(strict, n) for i in range(1, n - band + 1)]
+    algebra = matrix_unit_algebra(field, positions, unital=not strict)
+    counts = [sum(n - band for band in range(strict, i + 1)) for i in range(n)]
+    return algebra, _prefix_filtration(algebra, counts)
 
 
 def _truncated_polynomial(n: int, field: Field) -> tuple[StructureAlgebra, Filtration]:
@@ -104,11 +86,7 @@ def _truncated_polynomial(n: int, field: Field) -> tuple[StructureAlgebra, Filtr
     }
     unit = [1] + [0] * (n - 1)
     algebra = StructureAlgebra(field, names, mul, unit=unit)
-    stages = [
-        Subspace.span(field, n, _unit_vectors(field, n, list(range(i + 1))))
-        for i in range(n)
-    ]
-    return algebra, Filtration(algebra, stages)
+    return algebra, _prefix_filtration(algebra, list(range(1, n + 1)))
 
 
 def _exterior_algebra(g: int, field: Field) -> tuple[StructureAlgebra, Filtration]:
@@ -133,12 +111,9 @@ def _exterior_algebra(g: int, field: Field) -> tuple[StructureAlgebra, Filtratio
     names = ["1"] + ["e" + "".join(map(str, s)) for s in subsets[1:]]
     unit = [1] + [0] * (len(subsets) - 1)
     algebra = StructureAlgebra(field, names, mul, unit=unit)
-    dim = len(subsets)
-    stages = []
-    for size in range(g + 1):
-        idx = [i for s, i in index.items() if len(s) <= size]
-        stages.append(Subspace.span(field, dim, _unit_vectors(field, dim, sorted(idx))))
-    return algebra, Filtration(algebra, stages)
+    # subsets run by size, so the words of length <= size are a prefix
+    counts = [sum(len(s) <= size for s in subsets) for size in range(g + 1)]
+    return algebra, _prefix_filtration(algebra, counts)
 
 
 def _k_subsets(g: int, k: int) -> list[tuple[int, ...]]:
@@ -156,8 +131,8 @@ def _k_subsets(g: int, k: int) -> list[tuple[int, ...]]:
 
 
 _BUILDERS: dict[str, Callable[[int, Field], tuple[StructureAlgebra, Filtration]]] = {
-    "upper-triangular": _upper_triangular,
-    "strictly-upper-triangular": _strictly_upper_triangular,
+    "upper-triangular": partial(_triangular, strict=False),
+    "strictly-upper-triangular": partial(_triangular, strict=True),
     "truncated-polynomial": _truncated_polynomial,
     "exterior-algebra": _exterior_algebra,
 }

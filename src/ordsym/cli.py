@@ -16,6 +16,7 @@ import time
 from typing import Optional
 
 from .algebra import (
+    AlgElement,
     InvalidAlgebraError,
     StructureAlgebra,
     ValidationReport,
@@ -41,6 +42,7 @@ from .graded import (
     verify_graded_nil_index,
 )
 from .io import InputError, load_path
+from .linalg import combine
 from .rees import ReesElement, check_graded_rees_isomorphism, integral_power_in_x_ideal, integral_witness
 
 
@@ -300,10 +302,8 @@ def _default_rees_element(filtration: Filtration, seed: int) -> ReesElement:
     base = filtration.algebra
     coeffs = [base.zero_element()]
     for n in range(1, filtration.top + 1):
-        v = base.zero_element()
-        for row in filtration.stage(n).rows:
-            v = v + rng.randint(-2, 2) * base.element(row)
-        coeffs.append(v)
+        terms = ((rng.randint(-2, 2), row) for row in filtration.stage(n).rows)
+        coeffs.append(AlgElement(base, combine(base.field, base.dim, terms)))
     return ReesElement(filtration, coeffs)
 
 

@@ -231,6 +231,11 @@ def raw_values(field: Field, entries) -> list:
     return [x.value if x.__class__ is Scalar and x.field is field else Scalar(field, x).value for x in entries]
 
 
+def whole_as_int(v):
+    """A raw value with denominator 1 as a bare int (a residue mod p already is one)."""
+    return v.numerator if v.denominator == 1 else v
+
+
 Descriptor = Union[Field, str, dict]
 
 

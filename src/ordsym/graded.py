@@ -4,8 +4,9 @@ A filtration is a nested chain F_0 <= F_1 <= ... <= F_t of subspaces with
 F_t the whole algebra and F_i * F_j <= F_{i+j} (indices clamp at t, which
 is harmless because F_t absorbs).  The associated graded algebra is
 realized concretely: an adapted basis is grown greedily through the chain,
-every product of adapted representatives is reduced in adapted
-coordinates, and the component of top weight is kept.  The result is a
+every product of adapted representatives is rewritten in adapted
+coordinates (one linalg.combine against the inverse of the adapted basis),
+and the component of top weight is kept.  The result is a
 StructureAlgebra in its own right and passes the same validation as any
 other algebra.
 
@@ -33,9 +34,9 @@ from .algebra import (
     evaluate,
     sym_span_in,
 )
-from .fields import Field, Scalar
+from .fields import Scalar
 from .freealg import sym_poly
-from .linalg import Subspace, invert_matrix
+from .linalg import Subspace, combine, invert_matrix
 
 __all__ = [
     "Filtration",
@@ -155,13 +156,6 @@ class Filtration:
         return [s.dim for s in self.stages]
 
 
-def _to_adapted_coords(f: Field, to_adapted: list[list[Scalar]], vec: Sequence[Scalar]) -> Coords:
-    """to_adapted * vec: adapted coordinates of an ambient Scalar vector."""
-    support = [(k, c) for k, c in enumerate(vec) if c]
-    zero = f.zero()
-    return tuple(sum((row[k] * c for k, c in support), zero) for row in to_adapted)
-
-
 @dataclass
 class GradedAlgebra:
     """Concrete associated graded algebra over an adapted basis.
@@ -170,7 +164,9 @@ class GradedAlgebra:
     the graded product of slots i and j keeps the component of degree
     deg(i) + deg(j) of the representative product.  `algebra` is the
     resulting StructureAlgebra, so every element/evaluation/span tool
-    applies to graded classes unchanged.
+    applies to graded classes unchanged.  _to_adapted is the inverse of the
+    matrix whose rows are the adapted vectors: its row k holds the adapted
+    coordinates of the k-th ambient basis vector.
     """
 
     filtration: Filtration
@@ -186,8 +182,8 @@ class GradedAlgebra:
         return [i for i, (deg, _) in enumerate(self.adapted) if deg == p]
 
     def adapted_coords(self, coords) -> Coords:
-        f = self.filtration.algebra.field
-        return _to_adapted_coords(f, self._to_adapted, [Scalar(f, c) for c in coords])
+        """Adapted coordinates of an ambient vector: sum_k w_k * (row k of _to_adapted)."""
+        return combine(self.algebra.field, self.algebra.dim, zip(coords, self._to_adapted, strict=True))
 
     def class_element(self, coords, degree: int) -> AlgElement:
         """The class of a vector of F_degree in the degree-th component."""
@@ -203,11 +199,8 @@ class GradedAlgebra:
     def representative(self, elt: AlgElement) -> AlgElement:
         """A representative in the filtered algebra, summing adapted vectors."""
         base = self.filtration.algebra
-        out = base.zero_element()
-        for c, (_, vec) in zip(elt.coords, self.adapted):
-            if c:
-                out = out + c * base.element(vec)
-        return out
+        vectors = (vec for _, vec in self.adapted)
+        return AlgElement(base, combine(base.field, base.dim, zip(elt.coords, vectors)))
 
 
 def associated_graded(filtration: Filtration) -> GradedAlgebra:
@@ -223,8 +216,7 @@ def associated_graded(filtration: Filtration) -> GradedAlgebra:
     base = filtration.algebra
     f = base.field
     adapted, component_dims = filtration._basis or _adapted_basis(base, filtration.stages)
-    mat = [[adapted[i][1][r] for i in range(len(adapted))] for r in range(base.dim)]
-    to_adapted = invert_matrix(f, mat)
+    to_adapted = invert_matrix(f, [vec for _, vec in adapted])
     mul: dict[tuple[int, int], dict[int, Scalar]] = {}
     degs = [deg for deg, _ in adapted]
     for i, (pi, vi) in enumerate(adapted):
@@ -232,13 +224,13 @@ def associated_graded(filtration: Filtration) -> GradedAlgebra:
             target = pi + pj
             if target > filtration.top:
                 continue
-            coords = _to_adapted_coords(f, to_adapted, base.multiply_coords(vi, vj))
+            coords = combine(f, base.dim, zip(base.multiply_coords(vi, vj), to_adapted))
             entry = {k: c for k, c in enumerate(coords) if degs[k] == target and c}
             if entry:
                 mul[(i, j)] = entry
     unit = None
     if base.is_unital and filtration.stage(0).contains(base.unit):
-        unit = _to_adapted_coords(f, to_adapted, base.unit)
+        unit = combine(f, base.dim, zip(base.unit, to_adapted))
     names = [f"deg{deg}#{i}" for i, deg in enumerate(degs)]
     gr_alg = StructureAlgebra(f, names, mul, unit=unit, check=True)
     return GradedAlgebra(filtration, adapted, component_dims, gr_alg, to_adapted)
@@ -319,16 +311,13 @@ def verify_graded_nil_index(
     d_source = "given"
     if d is None:
         d_source = "sampled"
-        candidates: list[AlgElement] = []
-        for s in slots_q:
-            candidates.append(base.element(graded.adapted[s][1]))
-        for coeffs in sample_coeffs:
-            v = base.zero_element()
-            for s, c in coeffs.items():
-                v = v + c * base.element(graded.adapted[s][1])
-            candidates.append(v)
+        candidates = [graded.adapted[s][1] for s in slots_q]
+        candidates.extend(
+            combine(base.field, base.dim, ((c, graded.adapted[s][1]) for s, c in coeffs.items()))
+            for coeffs in sample_coeffs
+        )
         d = max(
-            algebraic_degree(v, unital=base.is_unital) for v in candidates
+            algebraic_degree(AlgElement(base, v), unital=base.is_unital) for v in candidates
         )
     n_bound = graded_nil_index_bound(p, q, d)
 
@@ -354,9 +343,8 @@ def verify_graded_nil_index(
         if not span.is_zero():
             failures.append({"test": idx, "reason": "symmetric span nonzero", "degree": n_bound})
             continue
-        total = components[0]
-        for c in components[1:]:
-            total = total + c
+        gr_alg = graded.algebra
+        total = AlgElement(gr_alg, combine(gr_alg.field, gr_alg.dim, ((1, c.coords) for c in components)))
         nil = total.nil_index(n_bound)
         if nil is None:
             failures.append({"test": idx, "reason": "element power nonzero at bound"})

@@ -7,15 +7,17 @@ needed because nothing here is approximate.  There is one elimination: a
 Subspace takes vectors one at a time into a sparse basis of raw field
 values (bare Fractions over Q, residues mod p over GF(p)), which stays the
 canonical form of the vectors read so far.  rref, the solvers and every
-batch span build a Subspace.  Scalar appears only at the boundary, where
-entries are read after a field check and basis rows are wrapped back.
+batch span build a Subspace.  Dense sums c_1 v_1 + ... + c_r v_r have one
+routine too, combine, which element arithmetic and the graded and Rees
+layers use.  Scalar appears only at the boundary, where entries are read
+after a field check and results are wrapped back.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .fields import Field, Scalar, raw_values
+from .fields import Field, Scalar, raw_values, whole_as_int
 
 __all__ = [
     "Subspace",
@@ -30,8 +32,35 @@ __all__ = [
 Vector = tuple[Scalar, ...]
 
 
-def as_vector(field: Field, coords: Iterable) -> Vector:
-    return tuple(Scalar(field, c) for c in coords)
+def combine(field: Field, ambient: int, terms: Iterable[tuple[object, Sequence]]) -> Vector:
+    """sum c * v over (coefficient, vector) pairs, computed on raw field values.
+
+    Coefficients and entries pass the field check of raw_values, and a vector
+    of the wrong length raises ValueError.  Zero coefficients and entries add
+    nothing, a coefficient of one multiplies nothing, whole rationals add as
+    ints, and only the nonzero sums are wrapped back into Scalars.
+    """
+    p = field.p
+    out: list = [None] * ambient
+    for c, v in terms:
+        if len(v) != ambient:
+            raise ValueError("vector length != ambient dimension")
+        c = whole_as_int(raw_values(field, (c,))[0])
+        if not c:
+            continue
+        scale = c != 1
+        for k, x in enumerate(raw_values(field, v)):
+            if x:
+                if not p and x.denominator == 1:
+                    x = x.numerator
+                if scale:
+                    x = c * x
+                y = out[k]
+                out[k] = x if y is None else y + x
+    zero = field.zero()
+    if p:
+        out = [y and y % p for y in out]
+    return tuple(Scalar(field, y) if y else zero for y in out)
 
 
 def rref(field: Field, rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
@@ -70,8 +99,7 @@ class Subspace:
 
     @classmethod
     def span(cls, field: Field, ambient: int, vectors: Iterable[Iterable]) -> "Subspace":
-        vecs = [as_vector(field, v) for v in vectors]
-        return cls(field, ambient, vecs)
+        return cls(field, ambient, [tuple(v) for v in vectors])
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
@@ -236,10 +264,7 @@ def solve_square(field: Field, a: Sequence[Sequence[Scalar]], b: Sequence[Sequen
 
 
 def invert_matrix(field: Field, a: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    n = len(a)
-    one, zer = field.one(), field.zero()
-    eye = [[one if i == j else zer for j in range(n)] for i in range(n)]
-    return solve_square(field, a, eye)
+    return solve_square(field, a, Subspace.full(field, len(a)).rows)
 
 
 def solve_consistent(field: Field, a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):

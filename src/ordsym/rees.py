@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .algebra import AlgElement, StructureAlgebra
 from .fields import Field, Scalar
 from .graded import Filtration, GradedAlgebra, associated_graded
-from .linalg import Subspace, solve_consistent
+from .linalg import Subspace, combine, solve_consistent
 
 __all__ = [
     "ScalarPoly",
@@ -97,17 +97,16 @@ def _ax_trim(coeffs: list[AlgElement]) -> tuple[AlgElement, ...]:
 
 
 def _ax_mul(u: Sequence[AlgElement], v: Sequence[AlgElement], algebra: StructureAlgebra) -> tuple[AlgElement, ...]:
+    """The product of two coefficient sequences: one combine of products per x-degree."""
     if not u or not v:
         return ()
-    out = [algebra.zero_element() for _ in range(len(u) + len(v) - 1)]
+    terms: list[list] = [[] for _ in range(len(u) + len(v) - 1)]
+    nonzero = [(j, b.coords) for j, b in enumerate(v) if not b.is_zero()]
     for i, a in enumerate(u):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(v):
-            if b.is_zero():
-                continue
-            out[i + j] = out[i + j] + a * b
-    return _ax_trim(out)
+        if not a.is_zero():
+            for j, b in nonzero:
+                terms[i + j].append((1, algebra.multiply_coords(a.coords, b)))
+    return _ax_trim([AlgElement(algebra, combine(algebra.field, algebra.dim, t)) for t in terms])
 
 
 class ReesElement:
@@ -351,7 +350,7 @@ def check_graded_rees_isomorphism(
             rep = graded.representative(
                 graded.algebra.basis_element(i) * graded.algebra.basis_element(j)
             )
-            diff = tuple(x - y for x, y in zip(w, rep.coords))
+            diff = combine(f, base.dim, ((1, w), (-1, rep.coords)))
             modulus = (
                 filtration.stage(pi + pj - 1)
                 if pi + pj >= 1

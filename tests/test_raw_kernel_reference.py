@@ -1,13 +1,17 @@
-"""Differential tests: the raw-value products and growing spans against the Scalar-based ones.
+"""Differential tests: the raw-value products, sums and growing spans against the Scalar-based ones.
 
 `StructureAlgebra.multiply_coords` multiplies on raw field values against
-structure constants cached by left factor, and `Subspace.reduce`,
+structure constants cached by left factor, `linalg.combine` sums c * v
+over (coefficient, vector) pairs on raw values, and `Subspace.reduce`,
 `contains` and `insert` eliminate against a sparse raw basis kept beside
 `rows`.  The references below are the versions they replaced, which ran
-every cell through Scalar arithmetic.  Over Q, GF(2), GF(7) and GF(101), both must
-give the same products and residuals with the same raw values, and a
-sequence of inserts must leave the same rows and pivots as the reference
-and as the batch `Subspace(...)` of every vector, with the same hash.
+every cell through Scalar arithmetic: among them the `AlgElement` sum,
+difference, negation and scalar multiple, and the adapted coordinates of
+the associated graded algebra (a transposed inverse times the vector).
+Over Q, GF(2), GF(7) and GF(101), both must give the same products,
+sums and residuals with the same raw values, and a sequence of inserts
+must leave the same rows and pivots as the reference and as the batch
+`Subspace(...)` of every vector, with the same hash.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordsym.algebra import StructureAlgebra
+from ordsym.algebra import AlgElement, StructureAlgebra
 from ordsym.catalog import builtin_example
 from ordsym.fields import QQ, Field, Scalar
-from ordsym.linalg import Subspace
+from ordsym.graded import Filtration, associated_graded
+from ordsym.linalg import Subspace, combine, invert_matrix
 from test_rref_reference import FIELDS, entries, matrices, raw
 
 
@@ -180,3 +185,114 @@ def test_int_and_fraction_entries_are_coerced(field):
     assert raw(space.rows) == raw(grown.rows)
     with pytest.raises(ValueError, match="length"):
         algebra.multiply_coords(e, e[:-1])
+
+
+def reference_combine(field, terms):
+    """sum c * v by Scalar arithmetic, from the zero vector."""
+    out = None
+    for c, v in terms:
+        c = Scalar(field, c)
+        scaled = tuple(c * Scalar(field, x) for x in v)
+        out = scaled if out is None else tuple(a + b for a, b in zip(out, scaled))
+    return out
+
+
+def reference_element_arithmetic(a, b, c):
+    """The Scalar-based AlgElement a + b, a - b, -a and c * a they replaced."""
+    c = Scalar(a.algebra.field, c)
+    return [
+        tuple(x + y for x, y in zip(a.coords, b.coords)),
+        tuple(x - y for x, y in zip(a.coords, b.coords)),
+        tuple(-x for x in a.coords),
+        tuple(c * x for x in a.coords),
+    ]
+
+
+def reference_to_adapted_coords(field, to_adapted, vec):
+    """to_adapted * vec, with to_adapted the inverse of the matrix whose columns are the adapted vectors."""
+    support = [(k, c) for k, c in enumerate(vec) if c]
+    zero = field.zero()
+    return tuple(sum((row[k] * c for k, c in support), zero) for row in to_adapted)
+
+
+def coefficients(field):
+    """Coefficients as Scalars, ints or Fractions, with zero and one drawn often."""
+    return st.one_of(st.sampled_from([0, 1, -1]), entries(field),
+                     entries(field).map(lambda c: Scalar(field, c)))
+
+
+@st.composite
+def combine_terms(draw, field):
+    """Terms whose vectors are sparse, dense or zero, and some of which cancel."""
+    n = draw(st.integers(1, 6))
+    terms = draw(st.lists(st.tuples(coefficients(field), st.one_of(sparse_vectors(field, n), vectors(field, n))),
+                          max_size=5))
+    for c, v in draw(st.lists(st.sampled_from(terms), max_size=2)) if terms else ():
+        # the same vector again with the opposite coefficient, or the negated vector
+        terms.append(draw(st.sampled_from([(-Scalar(field, c).value, v), (c, tuple(-x for x in v))])))
+    return n, draw(st.permutations(terms))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_combine_matches_reference(field, data):
+    n, terms = data.draw(combine_terms(field))
+    got = combine(field, n, terms)
+    expected = reference_combine(field, terms) or (field.zero(),) * n
+    assert raw([got]) == raw([expected])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_element_arithmetic_matches_reference(field, data):
+    algebra = data.draw(algebras(field))
+    a, b = (AlgElement(algebra, data.draw(sparse_vectors(field, algebra.dim))) for _ in range(2))
+    c = data.draw(coefficients(field).filter(lambda c: isinstance(c, (int, Scalar))))
+    got = [(a + b).coords, (a - b).coords, (-a).coords, (c * a).coords]
+    assert raw(got) == raw(reference_element_arithmetic(a, b, c))
+    assert (a * c).coords == (c * a).coords
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_adapted_coordinates_match_reference(field, data):
+    """A middle stage of general vectors in upper-triangular:3, so the adapted basis is no unit basis."""
+    algebra = builtin_example("upper-triangular", 3, field)[0]
+    middle = data.draw(st.lists(vectors(field, algebra.dim), max_size=4))
+    stages = [Subspace(field, algebra.dim, [algebra.unit]), Subspace(field, algebra.dim, [algebra.unit, *middle]),
+              Subspace.full(field, algebra.dim)]
+    gr = associated_graded(Filtration(algebra, stages))
+    vecs = [v for _, v in gr.adapted]
+    to_adapted = invert_matrix(field, [[v[r] for v in vecs] for r in range(algebra.dim)])
+    ws = [algebra.multiply_coords(u, v) for u in vecs for v in vecs]
+    ws.append(data.draw(vectors(field, algebra.dim)))
+    for w in ws:
+        assert raw([gr.adapted_coords(w)]) == raw([reference_to_adapted_coords(field, to_adapted, w)])
+    # the graded products are the top components of the reference adapted coordinates
+    degs = gr.slot_degrees()
+    for (i, pi), (j, pj) in ((x, y) for x in enumerate(degs) for y in enumerate(degs)):
+        if pi + pj <= 2:
+            coords = reference_to_adapted_coords(field, to_adapted, algebra.multiply_coords(vecs[i], vecs[j]))
+            expected = {k: c for k, c in enumerate(coords) if degs[k] == pi + pj and c}
+            assert gr.algebra.mul.get((i, j), {}) == expected
+    elt = gr.algebra.element(data.draw(vectors(field, algebra.dim)))
+    expected = reference_combine(field, zip(elt.coords, vecs))
+    assert raw([gr.representative(elt).coords]) == raw([expected])
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 7)], ids=str)
+def test_combine_reads_through_the_field_check(field):
+    foreign = Field("GF", 5) if field == QQ else QQ
+    v = (Scalar(field, 1), Scalar(field, 2), Scalar(field, 0))
+    assert raw([combine(field, 3, [(Fraction(1, 2), [2, Fraction(1, 2), 3]), (3, v)])]) == raw(
+        [reference_combine(field, [(Fraction(1, 2), [2, Fraction(1, 2), 3]), (3, v)])])
+    assert combine(field, 3, []) == (field.zero(),) * 3
+    for terms in ([(Scalar(foreign, 2), v)], [(1, (Scalar(foreign, 1), *v[1:]))], [(1, (Scalar(foreign, 0), *v[1:]))]):
+        with pytest.raises(ValueError):
+            combine(field, 3, terms)
+    for c in (1, 0):
+        with pytest.raises(ValueError, match="length"):
+            combine(field, 3, [(c, v[:2])])
