@@ -1,57 +1,86 @@
 """Exact-arithmetic toolkit for order-symmetric polynomial spans, nil and
 algebraicity certificates, and filtered/graded/Rees algebra checks over
-finite-dimensional associative algebras."""
+finite-dimensional associative algebras.
 
-from .algebra import (
-    AlgElement,
-    BoundResult,
-    ChainResult,
-    InvalidAlgebraError,
-    StructureAlgebra,
-    ValidationReport,
-    algebraic_degree,
-    brute_force_nil_index,
-    evaluate,
-    sym_span_chain,
-    sym_span_in,
-    sym_values,
-    uniform_algebraic_bound,
-    uniform_nil_index,
-)
-from .catalog import builtin_example, builtin_names
-from .fields import QQ, Field, Scalar, distinct_scalars, field_make
-from .freealg import (
-    FreePoly,
-    linear_power,
-    monomial_count,
-    multidegrees,
-    power_span_grid,
-    sym_poly,
-    sym_span,
-    sym_span_upto,
-    word_basis,
-)
-from .graded import (
-    Filtration,
-    GradedAlgebra,
-    InvalidFiltrationError,
-    NilVerification,
-    associated_graded,
-    graded_nil_index_bound,
-    sym_degree_check,
-    validate_filtration,
-    verify_graded_nil_index,
-)
-from .linalg import Subspace, multi_vandermonde_recover, vandermonde_recover
-from .rees import (
-    IntegralWitness,
-    IsoReport,
-    PowerMembership,
-    ReesElement,
-    ScalarPoly,
-    check_graded_rees_isomorphism,
-    integral_power_in_x_ideal,
-    integral_witness,
-)
+Importing the package loads none of its submodules.  Each exported name is
+resolved on first use from the submodule that defines it (PEP 562), so a
+command line check imports only the modules it runs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "algebra": (
+        "AlgElement",
+        "BoundResult",
+        "ChainResult",
+        "InvalidAlgebraError",
+        "StructureAlgebra",
+        "ValidationReport",
+        "algebraic_degree",
+        "brute_force_nil_index",
+        "evaluate",
+        "sym_span_chain",
+        "sym_span_in",
+        "sym_values",
+        "uniform_algebraic_bound",
+        "uniform_nil_index",
+    ),
+    "catalog": ("builtin_example", "builtin_names"),
+    "fields": ("QQ", "Field", "Scalar", "distinct_scalars", "field_make"),
+    "freealg": (
+        "FreePoly",
+        "linear_power",
+        "monomial_count",
+        "multidegrees",
+        "power_span_grid",
+        "sym_poly",
+        "sym_span",
+        "sym_span_upto",
+        "word_basis",
+    ),
+    "graded": (
+        "Filtration",
+        "GradedAlgebra",
+        "InvalidFiltrationError",
+        "NilVerification",
+        "associated_graded",
+        "graded_nil_index_bound",
+        "sym_degree_check",
+        "validate_filtration",
+        "verify_graded_nil_index",
+    ),
+    "linalg": ("Subspace", "multi_vandermonde_recover", "vandermonde_recover"),
+    "rees": (
+        "IntegralWitness",
+        "IsoReport",
+        "PowerMembership",
+        "ReesElement",
+        "ScalarPoly",
+        "check_graded_rees_isomorphism",
+        "integral_power_in_x_ideal",
+        "integral_witness",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """An exported name, or one of the submodules above, loaded on first use."""
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -26,13 +26,13 @@ scalar multiple of elements through linalg.combine.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .fields import Field, Scalar, raw_values, whole_as_int
 from .freealg import FreePoly, multidegrees
+from .io import InvalidAlgebraError
 from .linalg import Subspace, combine
 
 __all__ = [
@@ -55,13 +55,43 @@ __all__ = [
 Coords = tuple[Scalar, ...]
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    failures: list[dict] = dc_field(default_factory=list)
-    # what a passing check built and its caller may reuse (a filtration's
-    # adapted basis); not part of the report's value
-    basis: object = dc_field(default=None, init=False, repr=False, compare=False)
+class Record:
+    """Base of the result classes: a mutable record of its constructor's arguments.
+
+    Each subclass's __init__ keeps every parameter as the attribute of the
+    same name.  Those attributes, in parameter order, are the record's
+    value: == compares them between records of one class, and repr shows
+    them.  Any other attribute is not part of the value.  Records are
+    unhashable, as they are mutable.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+
+class ValidationReport(Record):
+    def __init__(self, ok: bool, failures: Optional[list[dict]] = None):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
+        # what a passing check built and its caller may reuse (a filtration's
+        # adapted basis); not part of the report's value
+        self.basis: object = None
 
     def describe(self) -> str:
         if self.ok:
@@ -69,12 +99,6 @@ class ValidationReport:
         return "; ".join(
             f"{f['law']} fails at {f.get('where')}" for f in self.failures
         )
-
-
-class InvalidAlgebraError(ValueError):
-    def __init__(self, report: ValidationReport):
-        super().__init__(report.describe())
-        self.report = report
 
 
 class StructureAlgebra:
@@ -141,19 +165,33 @@ class StructureAlgebra:
         a, b = raw_values(field, a), raw_values(field, b)
         if len(a) != self.dim or len(b) != self.dim:
             raise ValueError("coordinate vector has wrong length")
-        if not p:  # whole rationals multiply much faster as ints
-            a, b = ([x.numerator if x.denominator == 1 else x for x in v] for v in (a, b))
         out = [0] * self.dim
-        for x, products in zip(a, self._by_left):
-            if x:
-                for j, row in products.items():
-                    y = b[j]
-                    if y:
-                        f = x * y
-                        for k, c in row.items():
-                            out[k] += f * c
         if p:
+            for x, products in zip(a, self._by_left):
+                if x:
+                    for j, row in products.items():
+                        y = b[j]
+                        if y:
+                            f = x * y
+                            for k, c in row.items():
+                                out[k] += f * c
             out = [v % p for v in out]
+        else:
+            # Whole rationals multiply much faster as ints.  Only the
+            # nonzero entries the product reads are converted, those of b
+            # once each, on first read.
+            read: dict[int, object] = {}
+            for x, products in zip(a, self._by_left):
+                if products and x:
+                    x = whole_as_int(x)
+                    for j, row in products.items():
+                        y = read.get(j)
+                        if y is None:
+                            y = read[j] = whole_as_int(b[j]) if b[j] else 0
+                        if y:
+                            f = x * y
+                            for k, c in row.items():
+                                out[k] += f * c
         zero = self._zero
         return tuple(Scalar(field, v) if v else zero for v in out)
 
@@ -423,8 +461,7 @@ def sym_span_in(elts: Sequence[AlgElement], n: int) -> Subspace:
     return Subspace.zero(algebra.field, algebra.dim)
 
 
-@dataclass
-class ChainResult:
+class ChainResult(Record):
     """Degreewise growth of the cumulative span of order-symmetric values.
 
     growth[i] is the dimension added at degree i+1; cumulative is the span
@@ -433,10 +470,17 @@ class ChainResult:
     includes_degree_zero records whether the unit seeded the span.
     """
 
-    growth: list[int]
-    cumulative: Subspace
-    stabilized_at: Optional[int]
-    includes_degree_zero: bool
+    def __init__(
+        self,
+        growth: list[int],
+        cumulative: Subspace,
+        stabilized_at: Optional[int],
+        includes_degree_zero: bool,
+    ):
+        self.growth = growth
+        self.cumulative = cumulative
+        self.stabilized_at = stabilized_at
+        self.includes_degree_zero = includes_degree_zero
 
 
 def sym_span_chain(
@@ -557,8 +601,7 @@ def algebraic_degree(a: AlgElement, unital: bool = False) -> int:
     raise RuntimeError("unreachable: powers span a bounded space")
 
 
-@dataclass
-class BoundResult:
+class BoundResult(Record):
     """Uniform algebraicity certificate from the stabilized span chain.
 
     d is the least degree with the cumulative span equal to the span of
@@ -567,10 +610,11 @@ class BoundResult:
     spot checks, each necessarily <= bound.
     """
 
-    d: int
-    bound: int
-    chain: ChainResult
-    sampled_degrees: list[int]
+    def __init__(self, d: int, bound: int, chain: ChainResult, sampled_degrees: list[int]):
+        self.d = d
+        self.bound = bound
+        self.chain = chain
+        self.sampled_degrees = sampled_degrees
 
 
 def _least_collapse_degree(chain: ChainResult) -> int:

@@ -4,46 +4,27 @@ Exit codes: 0 = check passed, 1 = check failed, 2 = malformed input.
 Reports are single JSON documents with a fixed key order; identical
 (input, seed) pairs reproduce byte-identical reports apart from the
 trailing timing field.
+
+A check starts as a fresh process, so each command imports only the
+modules it runs, inside its cmd_* function: span-dim and sym-poly never
+load an algebra, and only the Rees commands load rees.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .algebra import (
-    AlgElement,
-    InvalidAlgebraError,
-    StructureAlgebra,
-    ValidationReport,
-    algebraic_degree,
-    brute_force_nil_index,
-    uniform_algebraic_bound,
-    uniform_nil_index,
-)
-from .catalog import builtin_example, builtin_names
 from .fields import QQ, Scalar, field_make, scalar_from_json, scalar_to_json
-from .freealg import (
-    monomial_count,
-    sym_poly,
-    sym_span,
-    sym_span_dim_formula,
-    sym_span_upto,
-    sym_span_upto_dim_formula,
-)
-from .graded import (
-    Filtration,
-    InvalidFiltrationError,
-    associated_graded,
-    verify_graded_nil_index,
-)
-from .io import InputError, load_path
-from .linalg import combine
-from .rees import ReesElement, check_graded_rees_isomorphism, integral_power_in_x_ideal, integral_witness
+from .io import InputError, InvalidAlgebraError, InvalidFiltrationError, load_path
+
+if TYPE_CHECKING:
+    from .algebra import StructureAlgebra, ValidationReport
+    from .graded import Filtration
+    from .rees import ReesElement
 
 
 class CheckFailure(Exception):
@@ -99,6 +80,8 @@ def _load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Option
             size = int(param)
         except ValueError:
             raise InputError(f"builtin parameter must be an integer, got {param!r}") from None
+        from .catalog import builtin_example
+
         try:
             algebra, filtration = builtin_example(name, size, override or QQ)
         except ValueError as e:
@@ -113,6 +96,8 @@ def _load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Option
             return algebra, None
         if filtration is None:
             raise InputError("this command needs a filtration in the description")
+        from .graded import Filtration
+
         try:
             return algebra, Filtration(algebra, filtration.stages)
         except InvalidFiltrationError as e:
@@ -139,6 +124,8 @@ def _parse_elements(args, algebra: StructureAlgebra):
 
 
 def cmd_sym_poly(args):
+    from .freealg import monomial_count, sym_poly
+
     field = field_make(args.field) if args.field else QQ
     md = _parse_md(args.md)
     poly = sym_poly(md, field)
@@ -156,6 +143,8 @@ def cmd_sym_poly(args):
 
 
 def cmd_span_dim(args):
+    from .freealg import sym_span, sym_span_dim_formula, sym_span_upto, sym_span_upto_dim_formula
+
     field = field_make(args.field) if args.field else QQ
     n, m = args.n, args.m
     if n is None or m is None:
@@ -182,6 +171,8 @@ def cmd_span_dim(args):
 
 
 def cmd_nil_index(args):
+    from .algebra import brute_force_nil_index, uniform_nil_index
+
     if args.nmax is not None and args.nmax < 1:
         raise InputError("--nmax must be >= 1")
     algebra, _ = _load(args)
@@ -208,6 +199,8 @@ def cmd_nil_index(args):
 
 
 def cmd_alg_degree(args):
+    from .algebra import algebraic_degree
+
     algebra, _ = _load(args)
     elts = _parse_elements(args, algebra)
     unital = bool(args.unital)
@@ -219,6 +212,8 @@ def cmd_alg_degree(args):
 
 
 def cmd_alg_bound(args):
+    from .algebra import uniform_algebraic_bound
+
     algebra, _ = _load(args)
     elts = _parse_elements(args, algebra)
     bound = uniform_algebraic_bound(elts, seed=args.seed)
@@ -234,6 +229,8 @@ def cmd_alg_bound(args):
 
 
 def cmd_check_filtration(args):
+    from .algebra import ValidationReport
+
     try:
         _, filtration = _load(args, need_filtration=True)
         freport = ValidationReport(True)
@@ -252,6 +249,8 @@ def cmd_check_filtration(args):
 
 
 def cmd_gr(args):
+    from .graded import associated_graded
+
     _, filtration = _load(args, need_filtration=True)
     # associated_graded validates the graded algebra as it builds it
     graded = associated_graded(filtration)
@@ -265,6 +264,8 @@ def cmd_gr(args):
 
 
 def cmd_verify_my1(args):
+    from .graded import verify_graded_nil_index
+
     if args.samples < 0:
         raise InputError("--samples must be >= 0")
     _, filtration = _load(args, need_filtration=True)
@@ -298,6 +299,12 @@ def cmd_verify_my1(args):
 
 def _default_rees_element(filtration: Filtration, seed: int) -> ReesElement:
     """Seeded element of the Rees algebra with zero constant coefficient."""
+    import random
+
+    from .algebra import AlgElement
+    from .linalg import combine
+    from .rees import ReesElement
+
     rng = random.Random(seed)
     base = filtration.algebra
     coeffs = [base.zero_element()]
@@ -308,6 +315,8 @@ def _default_rees_element(filtration: Filtration, seed: int) -> ReesElement:
 
 
 def cmd_rees_integrality(args):
+    from .rees import ReesElement, integral_power_in_x_ideal, integral_witness
+
     algebra, filtration = _load(args, need_filtration=True)
     if args.coeffs:
         try:
@@ -347,6 +356,8 @@ def cmd_rees_integrality(args):
 
 
 def cmd_iso_check(args):
+    from .rees import check_graded_rees_isomorphism
+
     if args.maxdeg < 0:
         raise InputError("--maxdeg must be >= 0")
     _, filtration = _load(args, need_filtration=True)
@@ -375,6 +386,27 @@ _COMMANDS = {
 }
 
 
+class _BuiltinOption(argparse.Action):
+    """--builtin NAME:PARAM, stored as given.
+
+    Its help lists the catalog's builtin names, and is read only when help
+    is printed, so that parsing a command line does not import the catalog.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+
+    @property
+    def help(self) -> str:
+        from .catalog import builtin_names
+
+        return f"builtin NAME:PARAM; names: {', '.join(builtin_names())}"
+
+    @help.setter
+    def help(self, value) -> None:
+        """argparse.Action.__init__ stores help=None; the property above stands instead."""
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordsym",
@@ -386,10 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, io=True):
         if io:
             p.add_argument("--input", help="algebra description file (JSON)")
-            p.add_argument(
-                "--builtin",
-                help=f"builtin NAME:PARAM; names: {', '.join(builtin_names())}",
-            )
+            p.add_argument("--builtin", action=_BuiltinOption)
         p.add_argument("--field", help="field override: Q or GF:p")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
         p.add_argument("--out", help="write the JSON report to a file")

@@ -23,11 +23,11 @@ the tested homogeneous components is nilpotent of index at most N.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 from .algebra import (
     AlgElement,
+    Record,
     StructureAlgebra,
     ValidationReport,
     algebraic_degree,
@@ -36,6 +36,7 @@ from .algebra import (
 )
 from .fields import Scalar
 from .freealg import sym_poly
+from .io import InvalidFiltrationError
 from .linalg import Subspace, combine, invert_matrix
 
 __all__ = [
@@ -52,12 +53,6 @@ __all__ = [
 ]
 
 Coords = tuple[Scalar, ...]
-
-
-class InvalidFiltrationError(ValueError):
-    def __init__(self, report: ValidationReport):
-        super().__init__(report.describe())
-        self.report = report
 
 
 def validate_filtration(algebra: StructureAlgebra, stages: Sequence[Subspace]) -> ValidationReport:
@@ -156,8 +151,7 @@ class Filtration:
         return [s.dim for s in self.stages]
 
 
-@dataclass
-class GradedAlgebra:
+class GradedAlgebra(Record):
     """Concrete associated graded algebra over an adapted basis.
 
     adapted[i] = (degree, representative vector in ambient coordinates);
@@ -169,11 +163,19 @@ class GradedAlgebra:
     coordinates of the k-th ambient basis vector.
     """
 
-    filtration: Filtration
-    adapted: list[tuple[int, Coords]]
-    component_dims: list[int]
-    algebra: StructureAlgebra
-    _to_adapted: list[list[Scalar]]
+    def __init__(
+        self,
+        filtration: Filtration,
+        adapted: list[tuple[int, Coords]],
+        component_dims: list[int],
+        algebra: StructureAlgebra,
+        _to_adapted: list[list[Scalar]],
+    ):
+        self.filtration = filtration
+        self.adapted = adapted
+        self.component_dims = component_dims
+        self.algebra = algebra
+        self._to_adapted = _to_adapted
 
     def slot_degrees(self) -> list[int]:
         return [deg for deg, _ in self.adapted]
@@ -245,21 +247,34 @@ def graded_nil_index_bound(p: int, q: int, d: int) -> int:
     return -((d - 1) * q // -p) + 1
 
 
-@dataclass
-class NilVerification:
+class NilVerification(Record):
     """Outcome of the filtered-to-graded nilpotence bound check."""
 
-    ok: bool
-    p: int
-    q: int
-    d: Optional[int]
-    d_source: str
-    n_bound: Optional[int]
-    observed_index: Optional[int]
-    tested_classes: int
-    tested_samples: int
-    vacuous: bool = False
-    failures: list[dict] = dc_field(default_factory=list)
+    def __init__(
+        self,
+        ok: bool,
+        p: int,
+        q: int,
+        d: Optional[int],
+        d_source: str,
+        n_bound: Optional[int],
+        observed_index: Optional[int],
+        tested_classes: int,
+        tested_samples: int,
+        vacuous: bool = False,
+        failures: Optional[list[dict]] = None,
+    ):
+        self.ok = ok
+        self.p = p
+        self.q = q
+        self.d = d
+        self.d_source = d_source
+        self.n_bound = n_bound
+        self.observed_index = observed_index
+        self.tested_classes = tested_classes
+        self.tested_samples = tested_samples
+        self.vacuous = vacuous
+        self.failures = [] if failures is None else failures
 
 
 def verify_graded_nil_index(
@@ -328,22 +343,23 @@ def verify_graded_nil_index(
 
     failures: list[dict] = []
     observed = 0
-    zero = graded.algebra.field.zero()
+    gr_alg = graded.algebra
+    zero = gr_alg.field.zero()
     for idx, coeffs in enumerate(test_vectors):
         components: list[AlgElement] = []
         for deg in range(p, q + 1):
-            vec = [zero] * len(graded.adapted)
+            # one Scalar per coefficient of this degree; the other slots share zero
+            vec = [zero] * gr_alg.dim
             for s, c in coeffs.items():
                 if graded.adapted[s][0] == deg:
-                    vec[s] = Scalar(graded.algebra.field, c)
-            components.append(graded.algebra.element(vec))
+                    vec[s] = Scalar(gr_alg.field, c)
+            components.append(AlgElement(gr_alg, tuple(vec)))
         if all(c.is_zero() for c in components):
             continue
         span = sym_span_in(components, n_bound)
         if not span.is_zero():
             failures.append({"test": idx, "reason": "symmetric span nonzero", "degree": n_bound})
             continue
-        gr_alg = graded.algebra
         total = AlgElement(gr_alg, combine(gr_alg.field, gr_alg.dim, ((1, c.coords) for c in components)))
         nil = total.nil_index(n_bound)
         if nil is None:
@@ -364,13 +380,15 @@ def verify_graded_nil_index(
     )
 
 
-@dataclass
-class HomogeneityReport:
-    ok: bool
-    weight: int
-    in_stage: bool
-    graded_match: Optional[bool]
-    skipped: bool = False
+class HomogeneityReport(Record):
+    def __init__(
+        self, ok: bool, weight: int, in_stage: bool, graded_match: Optional[bool], skipped: bool = False
+    ):
+        self.ok = ok
+        self.weight = weight
+        self.in_stage = in_stage
+        self.graded_match = graded_match
+        self.skipped = skipped
 
 
 def sym_degree_check(

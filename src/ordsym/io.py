@@ -15,23 +15,44 @@ Rational coefficients travel as "num/den" strings (plain integers allowed);
 prime-field coefficients as integers.  A field override re-reads every
 constant in the requested field, so one fixture can exercise both Q and a
 small prime field.
+
+The error classes of the command line live here too, so that a command
+can tell a failed check from malformed input without importing the
+modules that raise them; algebra and graded re-export their own.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .algebra import StructureAlgebra
 from .fields import Field, field_make, field_to_json, scalar_from_json, scalar_to_json
-from .graded import Filtration
-from .linalg import Subspace
+
+if TYPE_CHECKING:
+    from .algebra import StructureAlgebra, ValidationReport
+    from .graded import Filtration
 
 __all__ = ["InputError", "load_description", "dump_description", "load_path"]
 
 
 class InputError(ValueError):
     """Malformed description document; message carries a location."""
+
+
+class InvalidAlgebraError(ValueError):
+    """A structure tensor broke an algebra law; carries the ValidationReport."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__(report.describe())
+        self.report = report
+
+
+class InvalidFiltrationError(ValueError):
+    """A chain broke a filtration law; carries the ValidationReport."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__(report.describe())
+        self.report = report
 
 
 def _fail(where: str, msg: str) -> None:
@@ -44,6 +65,10 @@ def load_description(doc: dict, field_override: Optional[Field] = None):
     Both come back unvalidated (schema checks only); callers decide
     whether a broken tensor or chain is a failed check or a fatal error.
     """
+    from .algebra import StructureAlgebra
+    from .graded import Filtration
+    from .linalg import Subspace
+
     if not isinstance(doc, dict):
         _fail("document", "expected a JSON object")
     try:

@@ -17,10 +17,9 @@ corresponding graded class nilpotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
-from .algebra import AlgElement, StructureAlgebra
+from .algebra import AlgElement, Record, StructureAlgebra
 from .fields import Field, Scalar
 from .graded import Filtration, GradedAlgebra, associated_graded
 from .linalg import Subspace, combine, solve_consistent
@@ -191,10 +190,10 @@ class ReesElement:
         return " + ".join(f"({a})*x^{n}" for n, a in enumerate(self.coeffs) if not a.is_zero())
 
 
-@dataclass
-class IntegralWitness:
-    degree: int
-    multipliers: list[ScalarPoly]  # q_0, ..., q_{degree-1}
+class IntegralWitness(Record):
+    def __init__(self, degree: int, multipliers: list[ScalarPoly]):
+        self.degree = degree
+        self.multipliers = multipliers  # q_0, ..., q_{degree-1}
 
 
 def integral_witness(
@@ -263,12 +262,14 @@ def integral_witness(
     return None
 
 
-@dataclass
-class PowerMembership:
-    ok: bool
-    exponent: int  # m*(n-1)+1 from the integrality degree
-    least_exponent: Optional[int]  # least power already inside xR
-    witness: Optional[dict] = None
+class PowerMembership(Record):
+    def __init__(
+        self, ok: bool, exponent: int, least_exponent: Optional[int], witness: Optional[dict] = None
+    ):
+        self.ok = ok
+        self.exponent = exponent  # m*(n-1)+1 from the integrality degree
+        self.least_exponent = least_exponent  # least power already inside xR
+        self.witness = witness
 
 
 def integral_power_in_x_ideal(a: ReesElement, n: int) -> PowerMembership:
@@ -304,15 +305,22 @@ def integral_power_in_x_ideal(a: ReesElement, n: int) -> PowerMembership:
     return PowerMembership(ok=ok, exponent=exponent, least_exponent=least, witness=witness)
 
 
-@dataclass
-class IsoReport:
+class IsoReport(Record):
     """Comparison of gr(A) with R/xR on adapted classes up to a degree cap."""
 
-    ok: bool
-    max_degree: int
-    checked_pairs: int
-    ledger: list[dict] = dc_field(default_factory=list)
-    failures: list[dict] = dc_field(default_factory=list)
+    def __init__(
+        self,
+        ok: bool,
+        max_degree: int,
+        checked_pairs: int,
+        ledger: Optional[list[dict]] = None,
+        failures: Optional[list[dict]] = None,
+    ):
+        self.ok = ok
+        self.max_degree = max_degree
+        self.checked_pairs = checked_pairs
+        self.ledger = [] if ledger is None else ledger
+        self.failures = [] if failures is None else failures
 
 
 def check_graded_rees_isomorphism(

@@ -1,0 +1,64 @@
+"""Each command imports only the modules it runs.
+
+A check is its own process, so every module a command imports but does
+not run is start-up time.  Each test runs one command in a fresh
+interpreter and lists the modules it loaded: those in sys.modules after
+`ordsym.cli.main` returned that were not there before `ordsym` was
+imported (so modules the interpreter loads at start-up do not count).
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from ordsym.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+ALGEBRA_MODULES = {"ordsym.algebra", "ordsym.graded", "ordsym.catalog", "ordsym.rees"}
+
+
+def loaded_by(*argv: str) -> set[str]:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["code"] == 0
+    return set(result["loaded"])
+
+
+@pytest.mark.parametrize("argv", [("span-dim", "--n", "3", "--m", "2"), ("sym-poly", "--md", "2,1")])
+def test_word_commands_load_no_algebra(argv):
+    loaded = loaded_by(*argv)
+    assert {"ordsym.cli", "ordsym.freealg", "ordsym.linalg"} <= loaded
+    assert not loaded & (ALGEBRA_MODULES | {"dataclasses"})
+
+
+@pytest.mark.parametrize("command", ["gr", "nil-index", "verify-my1", "alg-bound", "check-filtration"])
+def test_algebra_commands_load_no_rees(command):
+    loaded = loaded_by(command, "--builtin", "upper-triangular:3")
+    assert {"ordsym.algebra", "ordsym.catalog"} <= loaded
+    assert not loaded & {"ordsym.rees", "dataclasses"}
+
+
+@pytest.mark.parametrize("command", ["rees-integrality", "iso-check"])
+def test_rees_commands_load_rees_without_dataclasses(command):
+    loaded = loaded_by(command, "--builtin", "upper-triangular:3")
+    assert "ordsym.rees" in loaded
+    assert "dataclasses" not in loaded
