@@ -17,20 +17,21 @@ the symmetric sums word by word.  One level walk, _nonzero_levels, runs it
 for sym_values, sym_span_in, sym_span_chain and uniform_nil_index.  It
 pushes each nonzero value of a level into the profiles above it, so a
 level holds only its nonzero values, and the walk ends at the first empty
-level.  Arithmetic runs on raw field values (bare Fractions over Q,
-residues mod p over GF(p)): products against structure constants cached
-the same way, which validate reads too, and every sum, difference and
-scalar multiple of elements through linalg.combine.
+level.  Arithmetic runs on raw field values (over Q ints when whole,
+Fractions otherwise; residues mod p over GF(p)): products against
+structure constants cached the same way, which validate reads too, and
+every sum, difference and scalar multiple of elements through
+linalg.combine.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import islice
+from itertools import islice, product
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .fields import Field, Scalar, raw_values, whole_as_int
+from .fields import Field, Scalar, raw_values
 from .freealg import FreePoly, multidegrees
 from .io import InvalidAlgebraError
 from .linalg import Subspace, combine
@@ -135,11 +136,10 @@ class StructureAlgebra:
             if row:
                 clean[(i, j)] = row
         self.mul = clean
-        # per left factor i, the raw constants c_ij^k as {j: {k: c}}, whole
-        # rationals as ints
+        # per left factor i, the raw constants c_ij^k as {j: {k: c}}
         self._by_left: list[dict[int, dict[int, object]]] = [{} for _ in range(self.dim)]
         for (i, j), row in clean.items():
-            self._by_left[i][j] = {k: whole_as_int(c.value) for k, c in row.items()}
+            self._by_left[i][j] = {k: c.value for k, c in row.items()}
         self._zero = field.zero()
         self.unit = None if unit is None else tuple(Scalar(field, c) for c in unit)
         if self.unit is not None and len(self.unit) != self.dim:
@@ -166,32 +166,16 @@ class StructureAlgebra:
         if len(a) != self.dim or len(b) != self.dim:
             raise ValueError("coordinate vector has wrong length")
         out = [0] * self.dim
+        for x, products in zip(a, self._by_left):
+            if x:
+                for j, row in products.items():
+                    y = b[j]
+                    if y:
+                        f = x * y
+                        for k, c in row.items():
+                            out[k] += f * c
         if p:
-            for x, products in zip(a, self._by_left):
-                if x:
-                    for j, row in products.items():
-                        y = b[j]
-                        if y:
-                            f = x * y
-                            for k, c in row.items():
-                                out[k] += f * c
             out = [v % p for v in out]
-        else:
-            # Whole rationals multiply much faster as ints.  Only the
-            # nonzero entries the product reads are converted, those of b
-            # once each, on first read.
-            read: dict[int, object] = {}
-            for x, products in zip(a, self._by_left):
-                if products and x:
-                    x = whole_as_int(x)
-                    for j, row in products.items():
-                        y = read.get(j)
-                        if y is None:
-                            y = read[j] = whole_as_int(b[j]) if b[j] else 0
-                        if y:
-                            f = x * y
-                            for k, c in row.items():
-                                out[k] += f * c
         zero = self._zero
         return tuple(Scalar(field, v) if v else zero for v in out)
 
@@ -568,10 +552,7 @@ def brute_force_nil_index(
         raise ValueError(f"enumeration budget exceeded: {total} > {budget}")
     cap = algebra.dim + 1
     worst = 1
-    combos = [()]
-    for _ in elts:
-        combos = [t + (c,) for t in combos for c in f.elements()]
-    for coeffs in combos:
+    for coeffs in product(f.elements(), repeat=len(elts)):
         v = AlgElement(algebra, combine(f, algebra.dim, zip(coeffs, (e.coords for e in elts))))
         idx = v.nil_index(cap)
         if idx is None:

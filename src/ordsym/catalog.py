@@ -18,6 +18,7 @@ coordinate vectors:
 from __future__ import annotations
 
 from functools import partial
+from itertools import combinations
 from typing import Callable
 
 from .algebra import StructureAlgebra
@@ -92,9 +93,7 @@ def _truncated_polynomial(n: int, field: Field) -> tuple[StructureAlgebra, Filtr
 def _exterior_algebra(g: int, field: Field) -> tuple[StructureAlgebra, Filtration]:
     if g < 1:
         raise ValueError("need at least one generator")
-    subsets: list[tuple[int, ...]] = [()]
-    for k in range(1, g + 1):
-        subsets.extend(_k_subsets(g, k))
+    subsets = [s for k in range(g + 1) for s in combinations(range(1, g + 1), k)]
     index = {s: i for i, s in enumerate(subsets)}
     mul: dict[tuple[int, int], dict[int, int]] = {}
     for s, i in index.items():
@@ -114,20 +113,6 @@ def _exterior_algebra(g: int, field: Field) -> tuple[StructureAlgebra, Filtratio
     # subsets run by size, so the words of length <= size are a prefix
     counts = [sum(len(s) <= size for s in subsets) for size in range(g + 1)]
     return algebra, _prefix_filtration(algebra, counts)
-
-
-def _k_subsets(g: int, k: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def grow(start: int, acc: tuple[int, ...]) -> None:
-        if len(acc) == k:
-            out.append(acc)
-            return
-        for nxt in range(start, g + 1):
-            grow(nxt + 1, acc + (nxt,))
-
-    grow(1, ())
-    return out
 
 
 _BUILDERS: dict[str, Callable[[int, Field], tuple[StructureAlgebra, Filtration]]] = {

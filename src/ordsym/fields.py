@@ -1,15 +1,19 @@
 """Exact field arithmetic over Q and prime fields GF(p).
 
-Every scalar is canonical: rationals are stored as reduced ``Fraction``
-values (coprime numerator/denominator, positive denominator), prime-field
-elements as residues in ``[0, p)``.  Two scalars are equal iff their
-representations are identical, so subspace equality downstream reduces to
-plain tuple comparison.  No floating point anywhere.
+Every scalar is canonical, and so is its raw value, the form the kernels
+compute on: a rational is an ``int`` when whole and a reduced ``Fraction``
+(coprime numerator/denominator, positive denominator) otherwise, and a
+prime-field element is a residue in ``[0, p)``.  Two scalars are equal iff
+their representations are identical, so subspace equality downstream
+reduces to plain tuple comparison.  Whole rationals compute as ints, and
+``/`` is never applied to a raw value, since ``1 / 2`` is a float.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Union
 
 __all__ = [
@@ -63,15 +67,9 @@ def _find_factor(n: int) -> int:
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = _gcd(abs(x - y), n)
+            d = gcd(abs(x - y), n)
         c += 1
     return d
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class Field:
@@ -136,7 +134,9 @@ class Scalar:
                 raise ValueError(f"scalar of {value.field} used in {field}")
             value = value.value
         if field.kind == "Q":
-            self.value = value if isinstance(value, Fraction) else Fraction(value)
+            if value.__class__ is not int:
+                value = canonical_rational(value if value.__class__ is Fraction else Fraction(value))
+            self.value = value
         else:
             if isinstance(value, Fraction):
                 if value.denominator % field.p == 0:
@@ -186,7 +186,7 @@ class Scalar:
         if not self:
             raise ZeroDivisionError(f"inversion of zero in {self.field}")
         if self.field.kind == "Q":
-            return Scalar(self.field, 1 / self.value)
+            return Scalar(self.field, Fraction(1, self.value))
         return Scalar(self.field, pow(self.value, -1, self.field.p))
 
     def __truediv__(self, other):
@@ -231,8 +231,8 @@ def raw_values(field: Field, entries) -> list:
     return [x.value if x.__class__ is Scalar and x.field is field else Scalar(field, x).value for x in entries]
 
 
-def whole_as_int(v):
-    """A raw value with denominator 1 as a bare int (a residue mod p already is one)."""
+def canonical_rational(v):
+    """The raw form of a rational that Fraction arithmetic produced: an int when whole."""
     return v.numerator if v.denominator == 1 else v
 
 
@@ -281,17 +281,14 @@ def field_to_json(field: Field) -> dict:
 
 def scalar_to_json(s: Scalar):
     """Rationals as "num/den" strings (plain "num" when integral), residues as ints."""
-    if s.field.kind == "GF":
-        return s.value
-    v = s.value
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    return s.value if s.field.kind == "GF" else str(s.value)
 
 
 def scalar_from_json(field: Field, raw) -> Scalar:
-    if isinstance(raw, bool):
+    """Read an int or a "num/den" string; ValueError when it names no element of field."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise ValueError(f"bad scalar {raw!r}")
-    if isinstance(raw, int):
-        return Scalar(field, raw)
-    if isinstance(raw, str):
-        return Scalar(field, Fraction(raw))
-    raise ValueError(f"bad scalar {raw!r}")
+    try:
+        return Scalar(field, raw if isinstance(raw, int) else Fraction(raw))
+    except ZeroDivisionError:
+        raise ValueError(f"bad scalar {raw!r}: zero denominator in {field}") from None

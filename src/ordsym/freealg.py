@@ -14,6 +14,7 @@ identity is what the span machinery below exploits.
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -245,10 +246,7 @@ def word_basis(m: int, lengths: Iterable[int]) -> list[Word]:
     for n in sorted(set(lengths)):
         if n < 0:
             raise ValueError("word length must be nonnegative")
-        level: list[Word] = [()]
-        for _ in range(n):
-            level = [w + (j,) for w in level for j in range(1, m + 1)]
-        out.extend(level)
+        out.extend(product(range(1, m + 1), repeat=n))
     return out
 
 
@@ -313,11 +311,8 @@ def power_span_grid(
         raise ValueError("sample values must be distinct")
     field = sample[0].field
     basis = word_basis(m, [n])
-    grid: list[tuple[Scalar, ...]] = [()]
-    for _ in range(m):
-        grid = [t + (x,) for t in grid for x in sample]
     vector = _vectorizer(basis)
-    vecs = [vector(linear_power(pt, n)) for pt in grid]
+    vecs = [vector(linear_power(pt, n)) for pt in product(sample, repeat=m)]
     space = Subspace(field, len(basis), vecs)
     return space, len(sample) >= n + 1
 

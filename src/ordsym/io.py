@@ -88,7 +88,7 @@ def load_description(doc: dict, field_override: Optional[Field] = None):
     def scalar(raw, where):
         try:
             return scalar_from_json(field, raw)
-        except (ValueError, ZeroDivisionError) as e:
+        except ValueError as e:
             _fail(where, str(e))
 
     def vector(raw, where):

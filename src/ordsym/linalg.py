@@ -5,19 +5,23 @@ form: two subspaces are equal iff their bases are identical tuples.  Plain
 Gaussian elimination with exact arithmetic; no pivoting heuristics are
 needed because nothing here is approximate.  There is one elimination: a
 Subspace takes vectors one at a time into a sparse basis of raw field
-values (bare Fractions over Q, residues mod p over GF(p)), which stays the
-canonical form of the vectors read so far.  rref, the solvers and every
-batch span build a Subspace.  Dense sums c_1 v_1 + ... + c_r v_r have one
-routine too, combine, which element arithmetic and the graded and Rees
-layers use.  Scalar appears only at the boundary, where entries are read
-after a field check and results are wrapped back.
+values (over Q ints when whole, Fractions otherwise; residues mod p over
+GF(p)), which stays the canonical form of the vectors read so far and is
+all a Subspace stores: it wraps its rows into Scalars when they are first
+read.  rref, the solvers and every batch span build a Subspace.  Dense
+sums c_1 v_1 + ... + c_r v_r have one routine too, combine, which element
+arithmetic and the graded and Rees layers use.  Scalar appears only at
+the boundary, where entries are read after a field check and results are
+wrapped back.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
-from .fields import Field, Scalar, raw_values, whole_as_int
+from .fields import Field, Scalar, canonical_rational, raw_values
 
 __all__ = [
     "Subspace",
@@ -37,22 +41,20 @@ def combine(field: Field, ambient: int, terms: Iterable[tuple[object, Sequence]]
 
     Coefficients and entries pass the field check of raw_values, and a vector
     of the wrong length raises ValueError.  Zero coefficients and entries add
-    nothing, a coefficient of one multiplies nothing, whole rationals add as
-    ints, and only the nonzero sums are wrapped back into Scalars.
+    nothing, a coefficient of one multiplies nothing, and only the nonzero
+    sums are wrapped back into Scalars.
     """
     p = field.p
     out: list = [None] * ambient
     for c, v in terms:
         if len(v) != ambient:
             raise ValueError("vector length != ambient dimension")
-        c = whole_as_int(raw_values(field, (c,))[0])
+        c = (c if c.__class__ is Scalar and c.field is field else Scalar(field, c)).value
         if not c:
             continue
         scale = c != 1
         for k, x in enumerate(raw_values(field, v)):
             if x:
-                if not p and x.denominator == 1:
-                    x = x.numerator
                 if scale:
                     x = c * x
                 y = out[k]
@@ -77,9 +79,13 @@ def rref(field: Field, rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scal
 
 
 class Subspace:
-    """A subspace of field^ambient with canonical reduced-echelon basis."""
+    """A subspace of field^ambient with canonical reduced-echelon basis.
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "_basis")
+    The basis is held once, as raw values; rows wraps it into Scalars when
+    it is first read and keeps them until the span next grows.
+    """
+
+    __slots__ = ("field", "ambient", "_basis", "_rows")
 
     def __init__(self, field: Field, ambient: int, rows: Sequence[Sequence[Scalar]] = ()):
         if ambient < 0:
@@ -89,13 +95,12 @@ class Subspace:
                 raise ValueError("ragged input: vector length != ambient dimension")
         self.field = field
         self.ambient = ambient
-        # pivot column -> raw values {column: value} of the other nonzero
-        # entries of its basis row
+        # pivot column -> canonical raw values {column: value} of the other
+        # nonzero entries of its basis row
         self._basis: dict[int, dict] = {}
+        self._rows: tuple[Vector, ...] | None = None
         for r in rows:
-            self._add(r)
-        self.pivots = tuple(sorted(self._basis))
-        self.rows = tuple(self._wrap(self.pivots))
+            self.insert(r)
 
     @classmethod
     def span(cls, field: Field, ambient: int, vectors: Iterable[Iterable]) -> "Subspace":
@@ -113,10 +118,30 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._basis)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self._basis
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(sorted(self._basis))
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The basis rows as Scalars in pivot order, every zero entry one shared Scalar."""
+        if self._rows is None:
+            field = self.field
+            zero, one = field.zero(), field.one()
+            rows = []
+            for c in self.pivots:
+                row = [zero] * self.ambient
+                row[c] = one
+                for k, x in self._basis[c].items():
+                    row[k] = Scalar(field, x)
+                rows.append(tuple(row))
+            self._rows = tuple(rows)
+        return self._rows
 
     def _residual(self, vector: Iterable) -> tuple[list, list[int]]:
         """Raw values of a vector eliminated against the basis, and its support.
@@ -144,54 +169,6 @@ class Subspace:
                         v[j] -= f * b
         return v, support
 
-    def _add(self, vector: Iterable) -> list[int]:
-        """Add a vector to the raw basis; the pivots of the rows that changed.
-
-        The residual, scaled to a leading one, is the new row (its pivot
-        comes first) and clears its pivot column from the other rows.
-        """
-        v, support = self._residual(vector)
-        if not support:
-            return []
-        p = self.field.p
-        c, *rest = support
-        if v[c] != 1:
-            inv = pow(v[c], -1, p) if p else 1 / v[c]
-            for k in rest:
-                v[k] = v[k] * inv % p if p else v[k] * inv
-        new = {k: v[k] for k in rest}
-        changed = [c]
-        for q, row in self._basis.items():
-            b = row.pop(c, None)
-            if b is None:
-                continue
-            changed.append(q)
-            for k, x in new.items():
-                y = row.get(k)
-                if y is None:
-                    row[k] = -b * x % p if p else -b * x
-                else:
-                    y = (y - b * x) % p if p else y - b * x
-                    if y:
-                        row[k] = y
-                    else:
-                        del row[k]
-        self._basis[c] = new
-        return changed
-
-    def _wrap(self, pivots: Iterable[int]) -> list[Vector]:
-        """The basis rows of these pivots as Scalars, every zero entry one shared Scalar."""
-        field = self.field
-        zero, one = field.zero(), field.one()
-        out = []
-        for c in pivots:
-            row = [zero] * self.ambient
-            row[c] = one
-            for k, x in self._basis[c].items():
-                row[k] = Scalar(field, x)
-            out.append(tuple(row))
-        return out
-
     def reduce(self, vector: Iterable) -> Vector:
         """Residual of a vector after elimination against the basis."""
         v, support = self._residual(vector)
@@ -206,16 +183,36 @@ class Subspace:
     def insert(self, vector: Iterable) -> bool:
         """Grow the span by one vector in place; True when the dimension grew.
 
-        Only the rows that change are wrapped into Scalars again.  Only for
-        a span its caller owns: it changes the hash.
+        The residual, scaled to a leading one, is the new basis row (its
+        pivot comes first) and clears its pivot column from the other rows.
+        Only for a span its caller owns: it changes the hash.
         """
-        changed = self._add(vector)
-        if not changed:
+        v, support = self._residual(vector)
+        if not support:
             return False
-        rows = dict(zip(self.pivots, self.rows))
-        rows.update(zip(changed, self._wrap(changed)))
-        self.pivots = tuple(sorted(self._basis))
-        self.rows = tuple(rows[c] for c in self.pivots)
+        p = self.field.p
+        c, *rest = support
+        if v[c] != 1:
+            inv = pow(v[c], -1, p) if p else Fraction(1, v[c])
+            for k in rest:
+                v[k] = v[k] * inv % p if p else v[k] * inv
+        new = {k: v[k] for k in rest} if p else {k: canonical_rational(v[k]) for k in rest}
+        for row in self._basis.values():
+            b = row.pop(c, None)
+            if b is None:
+                continue
+            for k, x in new.items():
+                y = row.get(k)
+                if y is None:
+                    row[k] = -b * x % p if p else canonical_rational(-b * x)
+                else:
+                    y = (y - b * x) % p if p else canonical_rational(y - b * x)
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
+        self._basis[c] = new
+        self._rows = None
         return True
 
     def __add__(self, other: "Subspace") -> "Subspace":
@@ -235,7 +232,7 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient == other.ambient
-            and self.rows == other.rows
+            and self._basis == other._basis
         )
 
     def __hash__(self) -> int:
@@ -338,9 +335,8 @@ def multi_vandermonde_recover(
             ws = [eval_at((x,)) for x in pts]
             vs = vandermonde_recover(pts, ws)
             return {(total,): vs[total]}
-        tails = _grid(sample, vars_left - 1)
         partial: dict[int, dict[tuple, Vector]] = {r: {} for r in range(total + 1)}
-        for tail in tails:
+        for tail in product(sample, repeat=vars_left - 1):
             ws = [eval_at((x,) + tail) for x in pts]
             vs = vandermonde_recover(pts, ws)
             for r in range(total + 1):
@@ -353,10 +349,3 @@ def multi_vandermonde_recover(
         return out
 
     return peel(m, n, lambda pt: evaluations[pt])
-
-
-def _grid(sample: Sequence[Scalar], m: int) -> list[tuple[Scalar, ...]]:
-    out: list[tuple[Scalar, ...]] = [()]
-    for _ in range(m):
-        out = [t + (x,) for t in out for x in sample]
-    return out

@@ -294,3 +294,18 @@ def test_explicit_nmax_is_the_cutoff(capsys):
     assert code == 0
     assert report["results"]["cutoff"] == 2
     assert report["results"]["index"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nil-index", "--builtin", "strictly-upper-triangular:3", "--elements", '[["1/0", 0, 0]]'],
+        ["nil-index", "--builtin", "strictly-upper-triangular:3", "--field", "GF:5", "--elements", '[["1/5", 0, 0]]'],
+        ["rees-integrality", "--builtin", "truncated-polynomial:3", "--coeffs", '[[0, 0, 0], ["2/0", 0, 0]]'],
+        ["rees-integrality", "--builtin", "truncated-polynomial:3", "--field", "GF:3",
+         "--coeffs", '[[0, 0, 0], ["2/3", 0, 0]]'],
+    ],
+)
+def test_exit_2_on_zero_denominator(argv, capsys):
+    assert main(argv) == 2
+    assert "zero denominator" in capsys.readouterr().err

@@ -45,6 +45,14 @@ def test_bad_scalar_located():
         load_description(doc)
 
 
+@pytest.mark.parametrize("bad, field", [("1/0", None), ("1/3", Field("GF", 3))])
+def test_zero_denominator_located(bad, field):
+    doc = doc_ut3()
+    doc["mul"][0][2][0][1] = bad
+    with pytest.raises(InputError, match=r"mul\[0\]\[0\].*zero denominator"):
+        load_description(doc, field_override=field)
+
+
 def test_bad_filtration_vector_located():
     doc = doc_ut3()
     doc["filtration"][0][0] = [1, 2]

@@ -1,0 +1,96 @@
+"""The raw form of an exact value is decided once, and a Subspace holds only its raw basis.
+
+Over Q a raw value is an int when whole and a reduced Fraction otherwise;
+over GF(p) it is a residue in [0, p).  Scalar construction produces that
+form, and the kernels keep it: the entries a Subspace stores and the
+values multiply_coords and combine return.  A Subspace wraps its rows into
+Scalars only when they are read, and again only after the span grew.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from ordsym.catalog import builtin_example
+from ordsym.fields import QQ, Field, Scalar
+from ordsym.linalg import Subspace, combine
+
+
+def test_whole_rational_is_an_int():
+    value = Scalar(QQ, Fraction(4, 2)).value
+    assert type(value) is int and value == 2
+    assert type(Scalar(QQ, 2).value) is int
+    assert type(Scalar(QQ, True).value) is int
+
+
+def test_inverse_of_a_whole_rational_is_a_fraction():
+    value = Scalar(QQ, 2).inv().value
+    assert type(value) is Fraction and value == Fraction(1, 2)
+    assert type(Scalar(QQ, Fraction(1, 2)).inv().value) is int
+
+
+def test_subspace_stores_canonical_raw_entries():
+    assert Subspace(QQ, 2, [[2, 1]])._basis == {0: {1: Fraction(1, 2)}}
+    assert type(Subspace(QQ, 2, [[2, 1]])._basis[0][1]) is Fraction
+    # whole entries that Fraction arithmetic produced: a scaled new row, a
+    # new entry of an old row, and an updated entry of an old row
+    for rows, basis in (
+        ([[Fraction(1, 2), 1, Fraction(3, 2)]], {0: {1: 2, 2: 3}}),
+        ([[1, 2, 0], [0, 2, 1]], {0: {2: -1}, 1: {2: Fraction(1, 2)}}),
+        ([[1, 1, Fraction(3, 2)], [0, 2, 1]], {0: {2: 1}, 1: {2: Fraction(1, 2)}}),
+    ):
+        stored = Subspace(QQ, 3, rows)._basis
+        assert stored == basis
+        assert {c: {k: type(x) for k, x in row.items()} for c, row in stored.items()} == {
+            c: {k: type(x) for k, x in row.items()} for c, row in basis.items()}
+
+
+def test_kernels_give_ints_on_whole_inputs():
+    algebra = builtin_example("upper-triangular", 3)[0]
+    a = tuple(Scalar(QQ, i - 2) for i in range(algebra.dim))
+    b = tuple(Scalar(QQ, 3 - i) for i in range(algebra.dim))
+    product = algebra.multiply_coords(a, b)
+    assert any(product) and all(type(x.value) is int for x in product)
+    # whole inputs, and Fraction coefficients whose sums are whole
+    for terms, expected in (
+        ([(2, [1, 2, 3]), (Scalar(QQ, -1), [0, 1, 1])], (2, 3, 5)),
+        ([(Fraction(1, 2), [2, 4, 1]), (Fraction(1, 2), [0, 0, 1]), (3, [1, 0, 0])], (4, 2, 1)),
+    ):
+        total = combine(QQ, 3, terms)
+        assert total == tuple(Scalar(QQ, c) for c in expected)
+        assert all(type(x.value) is int for x in total)
+
+
+@pytest.fixture
+def scalars_built(monkeypatch):
+    built = []
+    init = Scalar.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 7)], ids=str)
+def test_rows_are_wrapped_when_first_read(field, scalars_built):
+    vectors = [tuple(Scalar(field, c) for c in r) for r in ([1, 2, 0, 3], [2, 1, 5, 0], [0, 3, 1, 1])]
+    del scalars_built[:]
+    space = Subspace(field, 4, vectors[:1])
+    for v in vectors[1:]:
+        assert space.insert(v)
+    assert not space.insert(vectors[0])
+    batch = Subspace(field, 4, vectors)
+    assert (space.dim, space.pivots, space.contains(vectors[2]), space == batch) == (3, (0, 1, 2), True, True)
+    assert scalars_built == []
+    rows = space.rows
+    assert scalars_built
+    assert rows == batch.rows
+    del scalars_built[:]
+    assert space.rows is rows and scalars_built == []
+    assert space.insert(tuple(Scalar(field, c) for c in (0, 0, 0, 1)))
+    assert space.rows != rows

@@ -77,7 +77,7 @@ def reference_solve_square(field, a, b):
 
 def raw(rows):
     """Rows as (field, value type, value) triples: Scalar equality alone
-    would let an int stand in for a Fraction over Q."""
+    would not tell an int from a whole Fraction over Q."""
     return [[(x.field, type(x.value), x.value) for x in r] for r in rows]
 
 
