@@ -17,11 +17,15 @@ the symmetric sums word by word.  One level walk, _nonzero_levels, runs it
 for sym_values, sym_span_in, sym_span_chain and uniform_nil_index.  It
 pushes each nonzero value of a level into the profiles above it, so a
 level holds only its nonzero values, and the walk ends at the first empty
-level.  Arithmetic runs on raw field values (over Q ints when whole,
-Fractions otherwise; residues mod p over GF(p)): products against
-structure constants cached the same way, which validate reads too, and
-every sum, difference and scalar multiple of elements through
-linalg.combine.
+level.
+
+An element holds its coordinates in the one kernel form, sparse raw values
+{index: raw} (see fields), and reads them as Scalars only when coords is
+asked for.  A product is the sparse sum, through linalg.combine, of the
+structure constants against which its two factors' entries meet; every
+sum, difference and scalar multiple of elements is one combine too, and
+so is each value of the level walk.  multiply_coords and the dense
+constructors are boundary adapters over those kernels.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from itertools import islice, product
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .fields import Field, Scalar, raw_values
+from .fields import Field, Scalar, dense_scalars, raw_value, read_sparse
 from .freealg import FreePoly, multidegrees
 from .io import InvalidAlgebraError
 from .linalg import Subspace, combine
@@ -109,7 +113,7 @@ class StructureAlgebra:
     the product of basis elements i and j; absent pairs multiply to zero.
     """
 
-    __slots__ = ("field", "dim", "names", "mul", "unit", "_by_left", "_zero")
+    __slots__ = ("field", "dim", "names", "mul", "unit", "_by_left", "_unit")
 
     def __init__(
         self,
@@ -140,10 +144,10 @@ class StructureAlgebra:
         self._by_left: list[dict[int, dict[int, object]]] = [{} for _ in range(self.dim)]
         for (i, j), row in clean.items():
             self._by_left[i][j] = {k: c.value for k, c in row.items()}
-        self._zero = field.zero()
         self.unit = None if unit is None else tuple(Scalar(field, c) for c in unit)
         if self.unit is not None and len(self.unit) != self.dim:
             raise ValueError("unit vector has wrong length")
+        self._unit = None if unit is None else read_sparse(field, self.unit)
         if check:
             report = self.validate()
             if not report.ok:
@@ -154,30 +158,21 @@ class StructureAlgebra:
         return self.unit is not None
 
     def multiply_coords(self, a: Sequence[Scalar], b: Sequence[Scalar]) -> Coords:
-        """Coordinates of the product, computed on raw field values.
-
-        Entries are read as raw values after a field check, so a Scalar of
-        another field raises ValueError and int or Fraction entries are
-        coerced.  Sums run on ints and Fractions, reduced once mod p over
-        GF(p), and only the nonzero outputs are wrapped back into Scalars.
-        """
-        field, p = self.field, self.field.p
-        a, b = raw_values(field, a), raw_values(field, b)
+        """Coordinates of the product: product on the entries read through the field check."""
         if len(a) != self.dim or len(b) != self.dim:
             raise ValueError("coordinate vector has wrong length")
-        out = [0] * self.dim
-        for x, products in zip(a, self._by_left):
-            if x:
-                for j, row in products.items():
-                    y = b[j]
-                    if y:
-                        f = x * y
-                        for k, c in row.items():
-                            out[k] += f * c
-        if p:
-            out = [v % p for v in out]
-        zero = self._zero
-        return tuple(Scalar(field, v) if v else zero for v in out)
+        field = self.field
+        return dense_scalars(field, self.dim, self.product(read_sparse(field, a), read_sparse(field, b)))
+
+    def products(self, a: dict, b: dict) -> list[tuple[object, dict]]:
+        """The terms (a_i * b_j, raw constants of e_i e_j) whose combine is a * b, for sparse raw a and b."""
+        by_left = self._by_left
+        return [(x * y, row) for i, x in a.items() if (left := by_left[i])
+                for j, y in b.items() if (row := left.get(j))]
+
+    def product(self, a: dict, b: dict) -> dict:
+        """a * b on sparse raw coordinates."""
+        return combine(self.field, self.products(a, b))
 
     def validate(self) -> ValidationReport:
         """Associativity on all basis triples, unit laws if a unit is declared.
@@ -189,77 +184,87 @@ class StructureAlgebra:
         agree.  Stops at the first violating triple per law, as the
         witnesses are what mutation tests need.
         """
-        by_left, p, dim = self._by_left, self.field.p, self.dim
+        by_left, field, dim = self._by_left, self.field, self.dim
         for i, left in enumerate(by_left):
             for j in range(dim):
-                lhs = _sparse_rows(p, (
+                lhs = _sparse_rows(field, (
                     (k, c, row) for l, c in left.get(j, {}).items() for k, row in by_left[l].items()
                 ))
-                rhs = _sparse_rows(p, (
+                rhs = _sparse_rows(field, (
                     (k, c, left[l]) for k, jk in by_left[j].items() for l, c in jk.items() if l in left
                 ))
                 if lhs != rhs:
                     k = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
-                    lhs, rhs = (tuple(Scalar(self.field, r[m]) if m in r else self._zero for m in range(dim))
-                                for r in (lhs.get(k, {}), rhs.get(k, {})))
+                    lhs, rhs = (dense_scalars(field, dim, r.get(k, {})) for r in (lhs, rhs))
                     return ValidationReport(False, [
                         {"law": "associativity", "where": (i, j, k), "lhs": lhs, "rhs": rhs}
                     ])
-        if self.unit is not None:
-            for i in range(self.dim):
-                e = self.basis_element(i).coords
-                if self.multiply_coords(self.unit, e) != e or self.multiply_coords(e, self.unit) != e:
+        if self._unit is not None:
+            for i in range(dim):
+                e = {i: 1}
+                if self.product(self._unit, e) != e or self.product(e, self._unit) != e:
                     return ValidationReport(False, [{"law": "unit", "where": i}])
         return ValidationReport(True)
 
     def element(self, coords: Iterable) -> "AlgElement":
-        return AlgElement(self, tuple(Scalar(self.field, c) for c in coords))
+        return AlgElement(self, tuple(coords))
 
     def basis_element(self, i: int) -> "AlgElement":
         if not (0 <= i < self.dim):
             raise ValueError(f"basis index {i} out of range")
-        coords = [self.field.zero()] * self.dim
-        coords[i] = self.field.one()
-        return AlgElement(self, tuple(coords))
+        return AlgElement.from_raw(self, {i: 1})
 
     def basis_elements(self) -> list["AlgElement"]:
         return [self.basis_element(i) for i in range(self.dim)]
 
     def zero_element(self) -> "AlgElement":
-        return AlgElement(self, tuple([self.field.zero()] * self.dim))
+        return AlgElement.from_raw(self, {})
 
     def unit_element(self) -> "AlgElement":
-        if self.unit is None:
+        if self._unit is None:
             raise ValueError("algebra has no unit")
-        return AlgElement(self, self.unit)
+        return AlgElement.from_raw(self, self._unit)
 
     def __repr__(self) -> str:
         return f"StructureAlgebra(dim={self.dim}, field={self.field})"
 
 
-def _sparse_rows(p: Optional[int], terms: Iterable[tuple[int, object, dict]]) -> dict[int, dict]:
-    """sum c * row into row k over (k, c, row) triples of raw sparse rows, without zeros."""
-    out: dict[int, dict] = {}
+def _sparse_rows(field: Field, terms: Iterable[tuple[int, object, dict]]) -> dict[int, dict]:
+    """The nonzero sums of c * row into row k over (k, c, row) triples of raw sparse rows."""
+    grouped: dict[int, list] = {}
     for k, c, row in terms:
-        acc = out.setdefault(k, {})
-        for m, d in row.items():
-            acc[m] = acc.get(m, 0) + c * d
-    if p:
-        out = {k: {m: v % p for m, v in acc.items()} for k, acc in out.items()}
-    out = {k: {m: v for m, v in acc.items() if v} for k, acc in out.items()}
-    return {k: acc for k, acc in out.items() if acc}
+        grouped.setdefault(k, []).append((c, row))
+    return {k: acc for k, t in grouped.items() if (acc := combine(field, t))}
 
 
 class AlgElement:
-    """Element of a StructureAlgebra as an exact coordinate vector."""
+    """Element of a StructureAlgebra, held immutably as sparse raw coordinates {index: raw}.
 
-    __slots__ = ("algebra", "coords")
+    The constructor reads dense coordinates through the field check, and
+    from_raw takes a kernel's result.  coords wraps them on first read.
+    """
+
+    __slots__ = ("algebra", "_raw", "_coords")
 
     def __init__(self, algebra: StructureAlgebra, coords: Coords):
         if len(coords) != algebra.dim:
             raise ValueError("coordinate vector has wrong length")
         self.algebra = algebra
-        self.coords = coords
+        self._raw = read_sparse(algebra.field, coords)
+        self._coords = None
+
+    @classmethod
+    def from_raw(cls, algebra: StructureAlgebra, raw: dict) -> "AlgElement":
+        """The element with canonical sparse raw coordinates raw, taken as they are."""
+        e = cls.__new__(cls)
+        e.algebra, e._raw, e._coords = algebra, raw, None
+        return e
+
+    @property
+    def coords(self) -> Coords:
+        if self._coords is None:
+            self._coords = dense_scalars(self.algebra.field, self.algebra.dim, self._raw)
+        return self._coords
 
     def _check(self, other: "AlgElement") -> None:
         if self.algebra is not other.algebra:
@@ -267,25 +272,25 @@ class AlgElement:
 
     def _combine(self, terms) -> "AlgElement":
         algebra = self.algebra
-        return AlgElement(algebra, combine(algebra.field, algebra.dim, terms))
+        return AlgElement.from_raw(algebra, combine(algebra.field, terms))
 
     def __add__(self, other: "AlgElement") -> "AlgElement":
         self._check(other)
-        return self._combine(((1, self.coords), (1, other.coords)))
+        return self._combine(((1, self._raw), (1, other._raw)))
 
     def __sub__(self, other: "AlgElement") -> "AlgElement":
         self._check(other)
-        return self._combine(((1, self.coords), (-1, other.coords)))
+        return self._combine(((1, self._raw), (-1, other._raw)))
 
     def __neg__(self) -> "AlgElement":
-        return self._combine(((-1, self.coords),))
+        return self._combine(((-1, self._raw),))
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
             self._check(other)
-            return AlgElement(self.algebra, self.algebra.multiply_coords(self.coords, other.coords))
+            return AlgElement.from_raw(self.algebra, self.algebra.product(self._raw, other._raw))
         if isinstance(other, (Scalar, int)):
-            return self._combine(((other, self.coords),))
+            return self._combine(((raw_value(self.algebra.field, other), self._raw),))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -304,7 +309,7 @@ class AlgElement:
         return out
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self._raw
 
     def nil_index(self, cutoff: int) -> Optional[int]:
         """Least n <= cutoff with self**n = 0, or None."""
@@ -319,14 +324,14 @@ class AlgElement:
         return (
             isinstance(other, AlgElement)
             and self.algebra is other.algebra
-            and self.coords == other.coords
+            and self._raw == other._raw
         )
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash(frozenset(self._raw.items()))
 
     def __repr__(self) -> str:
-        parts = [f"({c})*{self.algebra.names[i]}" for i, c in enumerate(self.coords) if c]
+        parts = [f"({c})*{self.algebra.names[i]}" for i, c in sorted(self._raw.items())]
         return " + ".join(parts) if parts else "0"
 
 
@@ -378,24 +383,25 @@ def _level_values(
     """One step of the first-letter recursion, pushed from the nonzero values of a level.
 
     s[profile] = sum_j a_j * s[profile - e_j], so each value s[md] adds
-    a_j * s[md] into the profile md + e_j.  Zero products add nothing and
-    sums that cancel are dropped, so the next level holds only its nonzero
-    values too.
+    the product terms of a_j * s[md] into the profile md + e_j, and each
+    profile's terms are summed by one combine.  Sums that cancel are
+    dropped, so the next level holds only its nonzero values too.
     """
-    nxt: dict[tuple[int, ...], AlgElement] = {}
+    algebra = elts[0].algebra
+    by_left = algebra._by_left
+    # a_j * v is zero unless v meets a right factor of some entry of a_j
+    factors = [(a._raw, {k for i in a._raw for k in by_left[i]}) for a in elts]
+    terms: dict[tuple[int, ...], list] = {}
     for md, v in level.items():
-        for j, a in enumerate(elts):
-            term = a * v
-            if term.is_zero():
+        v = v._raw
+        for j, (a, right) in enumerate(factors):
+            if right.isdisjoint(v):
                 continue
-            child = (*md[:j], md[j] + 1, *md[j + 1:])
-            if child in nxt:
-                term = nxt[child] + term
-                if term.is_zero():
-                    del nxt[child]
-                    continue
-            nxt[child] = term
-    return nxt
+            t = algebra.products(a, v)
+            if t:
+                terms.setdefault((*md[:j], md[j] + 1, *md[j + 1:]), []).extend(t)
+    field = algebra.field
+    return {md: AlgElement.from_raw(algebra, raw) for md, t in terms.items() if (raw := combine(field, t))}
 
 
 def _first_level(elts: Sequence[AlgElement]) -> dict[tuple[int, ...], AlgElement]:
@@ -439,10 +445,12 @@ def sym_span_in(elts: Sequence[AlgElement], n: int) -> Subspace:
         raise ValueError("degree must be >= 1")
     levels = _nonzero_levels(elts)
     algebra = elts[0].algebra
+    span = Subspace(algebra.field, algebra.dim)
     for degree, level in enumerate(islice(levels, n), start=1):
         if degree == n:
-            return Subspace(algebra.field, algebra.dim, [v.coords for v in level.values()])
-    return Subspace.zero(algebra.field, algebra.dim)
+            for v in level.values():
+                span.insert_raw(v._raw)
+    return span
 
 
 class ChainResult(Record):
@@ -492,12 +500,12 @@ def sym_span_chain(
     if include_degree_zero:
         if not algebra.is_unital:
             raise ValueError("degree-zero component needs a unital algebra")
-        cum.insert(algebra.unit)
+        cum.insert_raw(algebra._unit)
     growth: list[int] = []
     for level in islice(levels, cap):
         before = cum.dim
         for v in level.values():
-            cum.insert(v.coords)
+            cum.insert_raw(v._raw)
         growth.append(cum.dim - before)
         if cum.dim == algebra.dim or (stop_at_plateau and not growth[-1]):
             break
@@ -553,7 +561,7 @@ def brute_force_nil_index(
     cap = algebra.dim + 1
     worst = 1
     for coeffs in product(f.elements(), repeat=len(elts)):
-        v = AlgElement(algebra, combine(f, algebra.dim, zip(coeffs, (e.coords for e in elts))))
+        v = AlgElement.from_raw(algebra, combine(f, ((c.value, e._raw) for c, e in zip(coeffs, elts))))
         idx = v.nil_index(cap)
         if idx is None:
             return None
@@ -570,13 +578,12 @@ def algebraic_degree(a: AlgElement, unital: bool = False) -> int:
     d never exceeds dim + 1 (dim + 2 in the seeded-unit case).
     """
     algebra = a.algebra
-    seed: list[Coords] = []
+    spanned = Subspace(algebra.field, algebra.dim)
     if unital:
-        seed.append(algebra.unit_element().coords)  # raises if no unit
-    spanned = Subspace(algebra.field, algebra.dim, seed)
+        spanned.insert_raw(algebra.unit_element()._raw)  # raises if no unit
     p = a
     for d in range(1, algebra.dim + 3):
-        if not spanned.insert(p.coords):
+        if not spanned.insert_raw(p._raw):
             return d
         p = p * a
     raise RuntimeError("unreachable: powers span a bounded space")
@@ -639,8 +646,8 @@ def uniform_algebraic_bound(
     rng = random.Random(seed)
     degrees: list[int] = []
     for _ in range(samples):
-        v = combine(algebra.field, algebra.dim, ((rng.randint(-3, 3), e.coords) for e in elts))
-        degrees.append(algebraic_degree(AlgElement(algebra, v)))
+        v = combine(algebra.field, ((rng.randint(-3, 3), e._raw) for e in elts))
+        degrees.append(algebraic_degree(AlgElement.from_raw(algebra, v)))
     if any(deg > bound for deg in degrees):
         raise RuntimeError("algebraicity bound violated by a sampled element")
     return BoundResult(d, bound, chain, degrees)

@@ -309,8 +309,8 @@ def _default_rees_element(filtration: Filtration, seed: int) -> ReesElement:
     base = filtration.algebra
     coeffs = [base.zero_element()]
     for n in range(1, filtration.top + 1):
-        terms = ((rng.randint(-2, 2), row) for row in filtration.stage(n).rows)
-        coeffs.append(AlgElement(base, combine(base.field, base.dim, terms)))
+        terms = ((rng.randint(-2, 2), row) for row in filtration.stage(n).raw_rows())
+        coeffs.append(AlgElement.from_raw(base, combine(base.field, terms)))
     return ReesElement(filtration, coeffs)
 
 

@@ -5,9 +5,11 @@ compute on: a rational is an ``int`` when whole and a reduced ``Fraction``
 (coprime numerator/denominator, positive denominator) otherwise, and a
 prime-field element is a residue in ``[0, p)``.  Two scalars are equal iff
 their representations are identical, so subspace equality downstream
-reduces to plain tuple comparison.  Whole rationals compute as ints, and
-``/`` is never applied to a raw value, since ``1 / 2`` is a float.  No
-floating point anywhere.
+reduces to plain comparison.  Whole rationals compute as ints, and ``/``
+is never applied to a raw value, since ``1 / 2`` is a float.  No floating
+point anywhere.  Inside the kernels a vector has one form, sparse raw:
+{index: raw value} over its nonzero entries.  Scalar is the boundary form:
+read_sparse field-checks a public vector once, dense_scalars wraps results.
 """
 
 from __future__ import annotations
@@ -129,20 +131,7 @@ class Scalar:
     __slots__ = ("field", "value")
 
     def __init__(self, field: Field, value):
-        if isinstance(value, Scalar):
-            if value.field != field:
-                raise ValueError(f"scalar of {value.field} used in {field}")
-            value = value.value
-        if field.kind == "Q":
-            if value.__class__ is not int:
-                value = canonical_rational(value if value.__class__ is Fraction else Fraction(value))
-            self.value = value
-        else:
-            if isinstance(value, Fraction):
-                if value.denominator % field.p == 0:
-                    raise ZeroDivisionError(f"denominator divisible by {field.p}")
-                value = value.numerator * pow(value.denominator, -1, field.p)
-            self.value = value % field.p
+        self.value = raw_value(field, value)
         self.field = field
 
     def _coerce(self, other) -> "Scalar":
@@ -221,19 +210,42 @@ class Scalar:
         return str(self.value)
 
 
-def raw_values(field: Field, entries) -> list:
-    """The raw values of entries read as elements of field.
+def raw_value(field: Field, x):
+    """The canonical raw value of x, a Scalar of field, an int or a Fraction.
 
-    A Scalar of that very Field object is read as it is; anything else goes
-    through Scalar(field, x), which raises ValueError on a foreign field and
-    coerces int and Fraction entries.
+    ValueError on a Scalar of another field; ZeroDivisionError on a
+    Fraction whose denominator vanishes mod p.
     """
-    return [x.value if x.__class__ is Scalar and x.field is field else Scalar(field, x).value for x in entries]
+    if x.__class__ is Scalar:
+        if x.field is not field and x.field != field:
+            raise ValueError(f"scalar of {x.field} used in {field}")
+        return x.value
+    p = field.p
+    if p is None:
+        return x if x.__class__ is int else canonical_rational(x if x.__class__ is Fraction else Fraction(x))
+    if isinstance(x, Fraction):
+        if x.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator divisible by {p}")
+        x = x.numerator * pow(x.denominator, -1, p)
+    return x % p
 
 
 def canonical_rational(v):
     """The raw form of a rational that Fraction arithmetic produced: an int when whole."""
     return v.numerator if v.denominator == 1 else v
+
+
+def read_sparse(field: Field, entries) -> dict:
+    """The sparse raw form {index: value} of a dense vector, each entry through raw_value once."""
+    return {k: v for k, x in enumerate(entries) if (v := raw_value(field, x))}
+
+
+def dense_scalars(field: Field, size: int, raw: dict) -> tuple:
+    """A sparse raw vector wrapped as `size` Scalars, every zero entry one shared Scalar."""
+    out = [field.zero()] * size
+    for k, v in raw.items():
+        out[k] = Scalar(field, v)
+    return tuple(out)
 
 
 Descriptor = Union[Field, str, dict]

@@ -215,19 +215,18 @@ def sym_poly(profile: Sequence[int], field: Field) -> FreePoly:
         raise ValueError("profile must have at least one entry")
     if any(i < 0 for i in profile):
         raise ValueError("profile entries must be nonnegative")
+    return FreePoly(field, m, dict.fromkeys(_profile_words(profile), field.one()))
+
+
+def _profile_words(profile: Sequence[int]) -> Iterator[Word]:
+    """Every word with the given occurrence profile, in lexicographic order."""
     letters: list[int] = []
     for j, count in enumerate(profile, start=1):
         letters.extend([j] * count)
-    if not letters:
-        return FreePoly.one(field, m)
-    one = field.one()
-    terms: dict[Word, Scalar] = {}
-    letters.sort()
     while True:
-        terms[tuple(letters)] = one
+        yield tuple(letters)
         if not _next_permutation(letters):
-            break
-    return FreePoly(field, m, terms)
+            return
 
 
 def linear_power(coeffs: Sequence[Scalar], n: int) -> FreePoly:
@@ -252,31 +251,42 @@ def word_basis(m: int, lengths: Iterable[int]) -> list[Word]:
 
 def poly_vector(p: FreePoly, basis: Sequence[Word]) -> tuple[Scalar, ...]:
     """Coordinates of a polynomial in an explicit word basis."""
-    return _vectorizer(basis)(p)
-
-
-def _vectorizer(basis: Sequence[Word]):
-    """poly_vector for one basis, with its word index built once."""
     index = {w: i for i, w in enumerate(basis)}
+    coords = [p.field.zero()] * len(basis)
+    for w, c in p._terms.items():
+        try:
+            coords[index[w]] = c
+        except KeyError:
+            raise ValueError(f"word {w} outside the chosen basis") from None
+    return tuple(coords)
 
-    def vector(p: FreePoly) -> tuple[Scalar, ...]:
-        coords = [p.field.zero()] * len(basis)
-        for w, c in p._terms.items():
-            try:
-                coords[index[w]] = c
-            except KeyError:
-                raise ValueError(f"word {w} outside the chosen basis") from None
-        return tuple(coords)
 
-    return vector
+def _word_rows(m: int, lengths: Iterable[int], field: Field, rows: Iterable[dict[Word, object]]) -> Subspace:
+    """The span of rows {word: raw value}, in the columns of word_basis(m, lengths).
+
+    word_basis orders a length's words as the base-m numerals of their
+    letters less one, so a word's column is the count of shorter words
+    plus that numeral.
+    """
+    offset, size = {}, 0
+    for n in sorted(set(lengths)):
+        offset[n] = size
+        size += m**n
+    space = Subspace(field, size)
+    for terms in rows:
+        row = {}
+        for w, c in terms.items():
+            col = 0
+            for letter in w:
+                col = col * m + letter - 1
+            row[offset[len(w)] + col] = c
+        space.insert_raw(row)
+    return space
 
 
 def sym_span(n: int, m: int, field: Field) -> Subspace:
     """Span of all order-symmetric sums of total degree n, in word coordinates."""
-    basis = word_basis(m, [n])
-    vector = _vectorizer(basis)
-    vecs = [vector(sym_poly(md, field)) for md in multidegrees(n, m)]
-    return Subspace(field, len(basis), vecs)
+    return _word_rows(m, [n], field, (dict.fromkeys(_profile_words(md), 1) for md in multidegrees(n, m)))
 
 
 def sym_span_upto(r: int, m: int, field: Field, include_degree_zero: bool = False) -> Subspace:
@@ -286,14 +296,9 @@ def sym_span_upto(r: int, m: int, field: Field, include_degree_zero: bool = Fals
     constant 1) joins only when `include_degree_zero` is set; the default
     starts the cumulative span at degree 1.
     """
-    basis = word_basis(m, range(r + 1))
-    vector = _vectorizer(basis)
-    vecs = []
     lo = 0 if include_degree_zero else 1
-    for n in range(lo, r + 1):
-        for md in multidegrees(n, m):
-            vecs.append(vector(sym_poly(md, field)))
-    return Subspace(field, len(basis), vecs)
+    sums = (dict.fromkeys(_profile_words(md), 1) for k in range(lo, r + 1) for md in multidegrees(k, m))
+    return _word_rows(m, range(r + 1), field, sums)
 
 
 def power_span_grid(
@@ -310,10 +315,8 @@ def power_span_grid(
     if len(set(sample)) != len(sample):
         raise ValueError("sample values must be distinct")
     field = sample[0].field
-    basis = word_basis(m, [n])
-    vector = _vectorizer(basis)
-    vecs = [vector(linear_power(pt, n)) for pt in product(sample, repeat=m)]
-    space = Subspace(field, len(basis), vecs)
+    rows = ({w: c.value for w, c in linear_power(pt, n)._terms.items()} for pt in product(sample, repeat=m))
+    space = _word_rows(m, [n], field, rows)
     return space, len(sample) >= n + 1
 
 

@@ -5,10 +5,11 @@ F_t the whole algebra and F_i * F_j <= F_{i+j} (indices clamp at t, which
 is harmless because F_t absorbs).  The associated graded algebra is
 realized concretely: an adapted basis is grown greedily through the chain,
 every product of adapted representatives is rewritten in adapted
-coordinates (one linalg.combine against the inverse of the adapted basis),
-and the component of top weight is kept.  The result is a
-StructureAlgebra in its own right and passes the same validation as any
-other algebra.
+coordinates (one linalg.times by the inverse of the adapted basis),
+and the component of top weight is kept.  The result is a StructureAlgebra
+in its own right and passes the same validation as any other algebra.  All
+of it runs on sparse raw vectors; the adapted basis is also kept as rows of
+Scalars, its public form.
 
 verify_graded_nil_index runs the whole pipeline behind the bound
 
@@ -34,10 +35,10 @@ from .algebra import (
     evaluate,
     sym_span_in,
 )
-from .fields import Scalar
+from .fields import Scalar, dense_scalars, raw_value, read_sparse
 from .freealg import sym_poly
 from .io import InvalidFiltrationError
-from .linalg import Subspace, combine, invert_matrix
+from .linalg import Subspace, inverse_rows, times
 
 __all__ = [
     "Filtration",
@@ -78,15 +79,16 @@ def validate_filtration(algebra: StructureAlgebra, stages: Sequence[Subspace]) -
     # earlier adapted rows of F_i, all multiplied earlier in a scan of every
     # row pair, so that scan's first failing pair is an adapted pair.  Pairs
     # with i + j >= t land in F_t, the whole algebra.
-    by_degree = [[v for deg, v in adapted if deg == p] for p in range(t + 1)]
+    by_degree = [[read_sparse(algebra.field, v) for deg, v in adapted if deg == p] for p in range(t + 1)]
     for i in range(t):
         for j in range(t - i):
             for u in by_degree[i]:
                 for v in by_degree[j]:
-                    prod = algebra.multiply_coords(u, v)
-                    if not stages[i + j].contains(prod):
+                    prod = algebra.product(u, v)
+                    if not stages[i + j].contains_raw(prod):
+                        witness = dense_scalars(algebra.field, algebra.dim, prod)
                         return ValidationReport(False, [
-                            {"law": "multiplicativity", "where": (i, j), "witness": prod}
+                            {"law": "multiplicativity", "where": (i, j), "witness": witness}
                         ])
     report = ValidationReport(True)
     report.basis = adapted, component_dims
@@ -105,7 +107,7 @@ def _adapted_basis(
     component_dims: list[int] = []
     grown = Subspace.zero(algebra.field, algebra.dim)
     for p, stage in enumerate(stages):
-        kept = [row for row in stage.rows if grown.insert(row)]
+        kept = [row for row, raw in zip(stage.rows, stage.raw_rows()) if grown.insert_raw(raw)]
         adapted.extend((p, row) for row in kept)
         component_dims.append(len(kept))
     return adapted, component_dims
@@ -160,7 +162,7 @@ class GradedAlgebra(Record):
     resulting StructureAlgebra, so every element/evaluation/span tool
     applies to graded classes unchanged.  _to_adapted is the inverse of the
     matrix whose rows are the adapted vectors: its row k holds the adapted
-    coordinates of the k-th ambient basis vector.
+    coordinates of the k-th ambient basis vector, as a sparse raw row.
     """
 
     def __init__(
@@ -169,13 +171,15 @@ class GradedAlgebra(Record):
         adapted: list[tuple[int, Coords]],
         component_dims: list[int],
         algebra: StructureAlgebra,
-        _to_adapted: list[list[Scalar]],
+        _to_adapted: list[dict],
     ):
         self.filtration = filtration
         self.adapted = adapted
         self.component_dims = component_dims
         self.algebra = algebra
         self._to_adapted = _to_adapted
+        # the adapted vectors as sparse raw rows; not part of the record's value
+        self._vectors = [read_sparse(algebra.field, vec) for _, vec in adapted]
 
     def slot_degrees(self) -> list[int]:
         return [deg for deg, _ in self.adapted]
@@ -184,25 +188,24 @@ class GradedAlgebra(Record):
         return [i for i, (deg, _) in enumerate(self.adapted) if deg == p]
 
     def adapted_coords(self, coords) -> Coords:
-        """Adapted coordinates of an ambient vector: sum_k w_k * (row k of _to_adapted)."""
-        return combine(self.algebra.field, self.algebra.dim, zip(coords, self._to_adapted, strict=True))
+        """Adapted coordinates of an ambient vector."""
+        if len(coords) != self.algebra.dim:
+            raise ValueError("coordinate vector has wrong length")
+        field = self.algebra.field
+        return dense_scalars(field, len(coords), times(field, read_sparse(field, coords), self._to_adapted))
 
     def class_element(self, coords, degree: int) -> AlgElement:
         """The class of a vector of F_degree in the degree-th component."""
         if not self.filtration.stage(degree).contains(coords):
             raise ValueError(f"vector not in stage {degree} of the filtration")
-        ad = self.adapted_coords(coords)
-        keep = [
-            ad[i] if self.adapted[i][0] == degree else self.algebra.field.zero()
-            for i in range(len(ad))
-        ]
-        return self.algebra.element(keep)
+        field = self.algebra.field
+        ad = times(field, read_sparse(field, coords), self._to_adapted)
+        return AlgElement.from_raw(self.algebra, {i: x for i, x in ad.items() if self.adapted[i][0] == degree})
 
     def representative(self, elt: AlgElement) -> AlgElement:
         """A representative in the filtered algebra, summing adapted vectors."""
         base = self.filtration.algebra
-        vectors = (vec for _, vec in self.adapted)
-        return AlgElement(base, combine(base.field, base.dim, zip(elt.coords, vectors)))
+        return AlgElement.from_raw(base, times(base.field, elt._raw, self._vectors))
 
 
 def associated_graded(filtration: Filtration) -> GradedAlgebra:
@@ -218,21 +221,22 @@ def associated_graded(filtration: Filtration) -> GradedAlgebra:
     base = filtration.algebra
     f = base.field
     adapted, component_dims = filtration._basis or _adapted_basis(base, filtration.stages)
-    to_adapted = invert_matrix(f, [vec for _, vec in adapted])
-    mul: dict[tuple[int, int], dict[int, Scalar]] = {}
+    vectors = [read_sparse(f, vec) for _, vec in adapted]
+    to_adapted = inverse_rows(f, vectors)
+    mul: dict[tuple[int, int], dict[int, object]] = {}
     degs = [deg for deg, _ in adapted]
-    for i, (pi, vi) in enumerate(adapted):
-        for j, (pj, vj) in enumerate(adapted):
+    for i, (pi, vi) in enumerate(zip(degs, vectors)):
+        for j, (pj, vj) in enumerate(zip(degs, vectors)):
             target = pi + pj
             if target > filtration.top:
                 continue
-            coords = combine(f, base.dim, zip(base.multiply_coords(vi, vj), to_adapted))
-            entry = {k: c for k, c in enumerate(coords) if degs[k] == target and c}
+            coords = times(f, base.product(vi, vj), to_adapted)
+            entry = {k: c for k, c in coords.items() if degs[k] == target}
             if entry:
                 mul[(i, j)] = entry
     unit = None
-    if base.is_unital and filtration.stage(0).contains(base.unit):
-        unit = combine(f, base.dim, zip(base.unit, to_adapted))
+    if base.is_unital and filtration.stage(0).contains_raw(base._unit):
+        unit = dense_scalars(f, base.dim, times(f, base._unit, to_adapted))
     names = [f"deg{deg}#{i}" for i, deg in enumerate(degs)]
     gr_alg = StructureAlgebra(f, names, mul, unit=unit, check=True)
     return GradedAlgebra(filtration, adapted, component_dims, gr_alg, to_adapted)
@@ -316,6 +320,7 @@ def verify_graded_nil_index(
     graded = gr if gr is not None else associated_graded(filtration)
     base = filtration.algebra
     slots_pq = [i for i, (deg, _) in enumerate(graded.adapted) if p <= deg <= q]
+    vectors = graded._vectors
     slots_q = [i for i, (deg, _) in enumerate(graded.adapted) if deg <= q]
 
     rng = random.Random(seed)
@@ -326,13 +331,10 @@ def verify_graded_nil_index(
     d_source = "given"
     if d is None:
         d_source = "sampled"
-        candidates = [graded.adapted[s][1] for s in slots_q]
-        candidates.extend(
-            combine(base.field, base.dim, ((c, graded.adapted[s][1]) for s, c in coeffs.items()))
-            for coeffs in sample_coeffs
-        )
+        candidates = [vectors[s] for s in slots_q]
+        candidates.extend(times(base.field, coeffs, vectors) for coeffs in sample_coeffs)
         d = max(
-            algebraic_degree(AlgElement(base, v), unital=base.is_unital) for v in candidates
+            algebraic_degree(AlgElement.from_raw(base, v), unital=base.is_unital) for v in candidates
         )
     n_bound = graded_nil_index_bound(p, q, d)
 
@@ -344,23 +346,20 @@ def verify_graded_nil_index(
     failures: list[dict] = []
     observed = 0
     gr_alg = graded.algebra
-    zero = gr_alg.field.zero()
+    gr_field = gr_alg.field
     for idx, coeffs in enumerate(test_vectors):
-        components: list[AlgElement] = []
-        for deg in range(p, q + 1):
-            # one Scalar per coefficient of this degree; the other slots share zero
-            vec = [zero] * gr_alg.dim
-            for s, c in coeffs.items():
-                if graded.adapted[s][0] == deg:
-                    vec[s] = Scalar(gr_alg.field, c)
-            components.append(AlgElement(gr_alg, tuple(vec)))
-        if all(c.is_zero() for c in components):
+        raw = {s: r for s, c in coeffs.items() if (r := raw_value(gr_field, c))}
+        if not raw:
             continue
+        components = [
+            AlgElement.from_raw(gr_alg, {s: r for s, r in raw.items() if graded.adapted[s][0] == deg})
+            for deg in range(p, q + 1)
+        ]
         span = sym_span_in(components, n_bound)
         if not span.is_zero():
             failures.append({"test": idx, "reason": "symmetric span nonzero", "degree": n_bound})
             continue
-        total = AlgElement(gr_alg, combine(gr_alg.field, gr_alg.dim, ((1, c.coords) for c in components)))
+        total = AlgElement.from_raw(gr_alg, raw)
         nil = total.nil_index(n_bound)
         if nil is None:
             failures.append({"test": idx, "reason": "element power nonzero at bound"})
@@ -415,7 +414,7 @@ def sym_degree_check(
     if degrees[-1] > t:
         raise ValueError("element degrees exceed the top of the chain")
     for a, degv in zip(elements, degrees):
-        if not filtration.stage(degv).contains(a.coords):
+        if not filtration.stage(degv).contains_raw(a._raw):
             raise ValueError(f"element not in stage {degv}")
     base = filtration.algebra
     if not any(profile):
@@ -423,7 +422,7 @@ def sym_degree_check(
             return HomogeneityReport(ok=True, weight=0, in_stage=True, graded_match=None, skipped=True)
     weight = sum(degv * i for degv, i in zip(degrees, profile))
     value = evaluate(sym_poly(profile, base.field), list(elements))
-    in_stage = filtration.stage(weight).contains(value.coords)
+    in_stage = filtration.stage(weight).contains_raw(value._raw)
     graded = gr if gr is not None else associated_graded(filtration)
     classes = [
         graded.class_element(a.coords, degv) for a, degv in zip(elements, degrees)

@@ -1,18 +1,17 @@
 """Exact linear algebra over a Field: echelon bases, spans, Vandermonde recovery.
 
 A Subspace is held as its reduced row-echelon basis, which is a canonical
-form: two subspaces are equal iff their bases are identical tuples.  Plain
+form: two subspaces are equal iff their bases are identical.  Plain
 Gaussian elimination with exact arithmetic; no pivoting heuristics are
-needed because nothing here is approximate.  There is one elimination: a
-Subspace takes vectors one at a time into a sparse basis of raw field
-values (over Q ints when whole, Fractions otherwise; residues mod p over
-GF(p)), which stays the canonical form of the vectors read so far and is
-all a Subspace stores: it wraps its rows into Scalars when they are first
-read.  rref, the solvers and every batch span build a Subspace.  Dense
-sums c_1 v_1 + ... + c_r v_r have one routine too, combine, which element
-arithmetic and the graded and Rees layers use.  Scalar appears only at
-the boundary, where entries are read after a field check and results are
-wrapped back.
+needed because nothing here is approximate.
+
+Vectors are sparse raw rows {index: raw value} (see fields).  There is one
+sum of them, combine, which element arithmetic, the graded and Rees layers
+and elimination use, and one elimination: a Subspace takes rows one at a
+time into its basis, pivot column -> that row's non-pivot entries, the
+canonical form of the rows read so far.  rref and the solvers build a
+Subspace.  The dense entry points are adapters: they read Scalars through
+fields.read_sparse and wrap what they return.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-from .fields import Field, Scalar, canonical_rational, raw_values
+from .fields import Field, Scalar, canonical_rational, dense_scalars, read_sparse
 
 __all__ = [
     "Subspace",
@@ -34,35 +33,28 @@ __all__ = [
 ]
 
 Vector = tuple[Scalar, ...]
+Raw = dict  # sparse raw row {index: nonzero canonical raw value}
 
 
-def combine(field: Field, ambient: int, terms: Iterable[tuple[object, Sequence]]) -> Vector:
-    """sum c * v over (coefficient, vector) pairs, computed on raw field values.
+def combine(field: Field, terms: Iterable[tuple[object, Raw]]) -> Raw:
+    """sum c * v over (raw coefficient, sparse raw row) pairs: the one sparse sum.
 
-    Coefficients and entries pass the field check of raw_values, and a vector
-    of the wrong length raises ValueError.  Zero coefficients and entries add
-    nothing, a coefficient of one multiplies nothing, and only the nonzero
-    sums are wrapped back into Scalars.
+    A coefficient may be any int over GF(p).  The result is a new canonical
+    sparse raw row.
     """
-    p = field.p
-    out: list = [None] * ambient
+    out: dict = {}
     for c, v in terms:
-        if len(v) != ambient:
-            raise ValueError("vector length != ambient dimension")
-        c = (c if c.__class__ is Scalar and c.field is field else Scalar(field, c)).value
-        if not c:
-            continue
-        scale = c != 1
-        for k, x in enumerate(raw_values(field, v)):
-            if x:
-                if scale:
-                    x = c * x
-                y = out[k]
-                out[k] = x if y is None else y + x
-    zero = field.zero()
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + c * x
+    p = field.p
     if p:
-        out = [y and y % p for y in out]
-    return tuple(Scalar(field, y) if y else zero for y in out)
+        return {k: y for k, x in out.items() if (y := x % p)}
+    return {k: x if x.__class__ is int else canonical_rational(x) for k, x in out.items() if x}
+
+
+def times(field: Field, w: Raw, rows: Sequence[Raw]) -> Raw:
+    """The sparse raw row w times the matrix with these rows: sum_k w_k * rows[k]."""
+    return combine(field, ((x, rows[k]) for k, x in w.items()))
 
 
 def rref(field: Field, rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
@@ -71,50 +63,44 @@ def rref(field: Field, rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Scal
     The rows are the basis of the Subspace they span, which reads them one
     at a time, so no entry grows beyond those of an echelon form.
     """
-    ncols = len(rows[0]) if rows else 0
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("ragged input: rows of unequal length")
-    space = Subspace(field, ncols, rows)
+    space = Subspace(field, len(rows[0]) if rows else 0, rows)
     return [list(r) for r in space.rows], list(space.pivots)
 
 
 class Subspace:
     """A subspace of field^ambient with canonical reduced-echelon basis.
 
-    The basis is held once, as raw values; rows wraps it into Scalars when
-    it is first read and keeps them until the span next grows.
+    The basis is held once, as sparse raw rows; rows wraps it into Scalars
+    when it is first read and keeps them until the span next grows.
     """
 
     __slots__ = ("field", "ambient", "_basis", "_rows")
 
-    def __init__(self, field: Field, ambient: int, rows: Sequence[Sequence[Scalar]] = ()):
+    def __init__(self, field: Field, ambient: int, rows: Iterable[Sequence[Scalar]] = ()):
         if ambient < 0:
             raise ValueError("ambient dimension must be >= 0")
-        for r in rows:
-            if len(r) != ambient:
-                raise ValueError("ragged input: vector length != ambient dimension")
         self.field = field
         self.ambient = ambient
-        # pivot column -> canonical raw values {column: value} of the other
-        # nonzero entries of its basis row
-        self._basis: dict[int, dict] = {}
+        # pivot column -> canonical raw values {column: value} of the
+        # non-pivot nonzero entries of its basis row (its pivot entry is one)
+        self._basis: dict[int, Raw] = {}
         self._rows: tuple[Vector, ...] | None = None
         for r in rows:
             self.insert(r)
 
     @classmethod
     def span(cls, field: Field, ambient: int, vectors: Iterable[Iterable]) -> "Subspace":
-        return cls(field, ambient, [tuple(v) for v in vectors])
+        return cls(field, ambient, (tuple(v) for v in vectors))
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, ())
+        return cls(field, ambient)
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        one, zer = field.one(), field.zero()
-        rows = [[one if i == j else zer for j in range(ambient)] for i in range(ambient)]
-        return cls(field, ambient, rows)
+        space = cls(field, ambient)
+        space._basis = {c: {} for c in range(ambient)}
+        return space
 
     @property
     def dim(self) -> int:
@@ -131,93 +117,76 @@ class Subspace:
     def rows(self) -> tuple[Vector, ...]:
         """The basis rows as Scalars in pivot order, every zero entry one shared Scalar."""
         if self._rows is None:
-            field = self.field
-            zero, one = field.zero(), field.one()
-            rows = []
-            for c in self.pivots:
-                row = [zero] * self.ambient
-                row[c] = one
-                for k, x in self._basis[c].items():
-                    row[k] = Scalar(field, x)
-                rows.append(tuple(row))
-            self._rows = tuple(rows)
+            self._rows = tuple(dense_scalars(self.field, self.ambient, r) for r in self.raw_rows())
         return self._rows
 
-    def _residual(self, vector: Iterable) -> tuple[list, list[int]]:
-        """Raw values of a vector eliminated against the basis, and its support.
+    def raw_rows(self) -> list[Raw]:
+        """The basis rows as sparse raw rows in pivot order."""
+        return [{c: 1, **self._basis[c]} for c in self.pivots]
 
-        One pass from the left, testing each entry for zero once: basis rows
-        only hold entries right of their pivots, so an entry is final when
-        the pass reaches it.  Its row clears a nonzero pivot entry; any other
-        nonzero entry joins the support.  Entries off the support are stale.
+    def _read(self, vector: Sequence) -> Raw:
+        if len(vector) != self.ambient:
+            raise ValueError("ragged input: vector length != ambient dimension")
+        return read_sparse(self.field, vector)
+
+    def reduce_raw(self, v: Raw) -> Raw:
+        """The residual of a sparse raw row after elimination against the basis.
+
+        Basis rows hold only non-pivot columns, so one pass over v subtracts
+        the row of each pivot it hits, and no subtraction lands on a pivot.
         """
-        v = raw_values(self.field, vector)
-        if len(v) != self.ambient:
-            raise ValueError("vector length != ambient dimension")
-        basis, p = self._basis, self.field.p
-        support = []
-        for k, f in enumerate(v):
-            if f:
-                row = basis.get(k)
-                if row is None:
-                    support.append(k)
-                elif p:
-                    for j, b in row.items():
-                        v[j] = (v[j] - f * b) % p
-                else:
-                    for j, b in row.items():
-                        v[j] -= f * b
-        return v, support
+        basis = self._basis
+        free: dict = {}
+        terms = [(1, free)]
+        for k, f in v.items():
+            row = basis.get(k)
+            if row is None:
+                free[k] = f
+            else:
+                terms.append((-f, row))
+        return combine(self.field, terms) if len(terms) > 1 else free
 
-    def reduce(self, vector: Iterable) -> Vector:
-        """Residual of a vector after elimination against the basis."""
-        v, support = self._residual(vector)
-        out = [self.field.zero()] * self.ambient
-        for k in support:
-            out[k] = Scalar(self.field, v[k])
-        return tuple(out)
+    def contains_raw(self, v: Raw) -> bool:
+        return not self.reduce_raw(v)
 
-    def contains(self, vector: Iterable) -> bool:
-        return not self._residual(vector)[1]
-
-    def insert(self, vector: Iterable) -> bool:
-        """Grow the span by one vector in place; True when the dimension grew.
+    def insert_raw(self, v: Raw) -> bool:
+        """Grow the span by one sparse raw row in place; True when the dimension grew.
 
         The residual, scaled to a leading one, is the new basis row (its
         pivot comes first) and clears its pivot column from the other rows.
         Only for a span its caller owns: it changes the hash.
         """
-        v, support = self._residual(vector)
-        if not support:
+        new = self.reduce_raw(v)
+        if not new:
             return False
-        p = self.field.p
-        c, *rest = support
-        if v[c] != 1:
-            inv = pow(v[c], -1, p) if p else Fraction(1, v[c])
-            for k in rest:
-                v[k] = v[k] * inv % p if p else v[k] * inv
-        new = {k: v[k] for k in rest} if p else {k: canonical_rational(v[k]) for k in rest}
-        for row in self._basis.values():
+        c = min(new)
+        lead = new.pop(c)
+        if lead != 1:
+            p = self.field.p
+            new = combine(self.field, ((pow(lead, -1, p) if p else Fraction(1, lead), new),))
+        basis = self._basis
+        for pivot, row in basis.items():
             b = row.pop(c, None)
-            if b is None:
-                continue
-            for k, x in new.items():
-                y = row.get(k)
-                if y is None:
-                    row[k] = -b * x % p if p else canonical_rational(-b * x)
-                else:
-                    y = (y - b * x) % p if p else canonical_rational(y - b * x)
-                    if y:
-                        row[k] = y
-                    else:
-                        del row[k]
-        self._basis[c] = new
+            if b is not None:
+                basis[pivot] = combine(self.field, ((1, row), (-b, new)))
+        basis[c] = new
         self._rows = None
         return True
 
+    def reduce(self, vector: Sequence) -> Vector:
+        """Residual of a vector after elimination against the basis."""
+        return dense_scalars(self.field, self.ambient, self.reduce_raw(self._read(vector)))
+
+    def contains(self, vector: Sequence) -> bool:
+        return self.contains_raw(self._read(vector))
+
+    def insert(self, vector: Sequence) -> bool:
+        """insert_raw for a dense vector of field elements."""
+        return self.insert_raw(self._read(vector))
+
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace(self.field, self.ambient, list(self.rows) + list(other.rows))
+        return Subspace(self.field, self.ambient, self.rows + other.rows)
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.field != other.field:
@@ -236,7 +205,7 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.ambient, self.rows))
+        return hash((self.field, self.ambient, frozenset((c, frozenset(r.items())) for c, r in self._basis.items())))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, field={self.field})"
@@ -253,15 +222,29 @@ def solve_square(field: Field, a: Sequence[Sequence[Scalar]], b: Sequence[Sequen
         raise ValueError("matrix is not square")
     if len(b) != n:
         raise ValueError("right-hand side has wrong height")
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    red, piv = rref(field, aug)
-    if len(red) != n or piv != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in red]
+    width = len(b[0]) if b else 0
+    rows = _solution(Subspace(field, n + width, [[*ra, *rb] for ra, rb in zip(a, b)]), n)
+    return [list(dense_scalars(field, width, r)) for r in rows]
 
 
 def invert_matrix(field: Field, a: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     return solve_square(field, a, Subspace.full(field, len(a)).rows)
+
+
+def inverse_rows(field: Field, rows: Sequence[Raw]) -> list[Raw]:
+    """The inverse of the square matrix with these sparse raw rows, as sparse raw rows."""
+    n = len(rows)
+    space = Subspace(field, 2 * n)
+    for i, r in enumerate(rows):
+        space.insert_raw({**r, n + i: 1})
+    return _solution(space, n)
+
+
+def _solution(space: Subspace, n: int) -> list[Raw]:
+    """X from the span of [A | B], A n x n: the basis rows right of column n; ValueError when A is singular."""
+    if space.pivots != tuple(range(n)):
+        raise ValueError("singular matrix")
+    return [{k - n: x for k, x in space._basis[c].items()} for c in range(n)]
 
 
 def solve_consistent(field: Field, a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
@@ -274,15 +257,10 @@ def solve_consistent(field: Field, a: Sequence[Sequence[Scalar]], b: Sequence[Sc
     if not a:
         return []
     ncols = len(a[0])
-    aug = [list(ra) + [rb] for ra, rb in zip(a, b)]
-    red, piv = rref(field, aug)
-    zer = field.zero()
-    x = [zer] * ncols
-    for row, p in zip(red, piv):
-        if p == ncols:
-            return None
-        x[p] = row[-1]
-    return x
+    basis = Subspace(field, ncols + 1, [[*ra, rb] for ra, rb in zip(a, b)])._basis
+    if ncols in basis:
+        return None
+    return list(dense_scalars(field, ncols, {c: x for c, row in basis.items() if (x := row.get(ncols))}))
 
 
 def vandermonde_recover(xis: Sequence[Scalar], ws: Sequence[Sequence[Scalar]]) -> list[Vector]:

@@ -96,16 +96,14 @@ def _ax_trim(coeffs: list[AlgElement]) -> tuple[AlgElement, ...]:
 
 
 def _ax_mul(u: Sequence[AlgElement], v: Sequence[AlgElement], algebra: StructureAlgebra) -> tuple[AlgElement, ...]:
-    """The product of two coefficient sequences: one combine of products per x-degree."""
+    """The product of two coefficient sequences: one combine of product terms per x-degree."""
     if not u or not v:
         return ()
     terms: list[list] = [[] for _ in range(len(u) + len(v) - 1)]
-    nonzero = [(j, b.coords) for j, b in enumerate(v) if not b.is_zero()]
     for i, a in enumerate(u):
-        if not a.is_zero():
-            for j, b in nonzero:
-                terms[i + j].append((1, algebra.multiply_coords(a.coords, b)))
-    return _ax_trim([AlgElement(algebra, combine(algebra.field, algebra.dim, t)) for t in terms])
+        for j, b in enumerate(v):
+            terms[i + j].extend(algebra.products(a._raw, b._raw))
+    return _ax_trim([AlgElement.from_raw(algebra, combine(algebra.field, t)) for t in terms])
 
 
 class ReesElement:
@@ -116,7 +114,7 @@ class ReesElement:
     def __init__(self, filtration: Filtration, coeffs: Sequence[AlgElement]):
         trimmed = _ax_trim(list(coeffs))
         for n, a in enumerate(trimmed):
-            if not filtration.stage(n).contains(a.coords):
+            if not filtration.stage(n).contains_raw(a._raw):
                 raise ValueError(
                     f"coefficient of x^{n} lies outside stage {min(n, filtration.top)}"
                 )
@@ -179,7 +177,7 @@ class ReesElement:
         if not self.coeffs[0].is_zero():
             return False
         return all(
-            self.filtration.stage(n - 1).contains(a.coords)
+            self.filtration.stage(n - 1).contains_raw(a._raw)
             for n, a in enumerate(self.coeffs)
             if n >= 1
         )
@@ -298,7 +296,7 @@ def integral_power_in_x_ideal(a: ReesElement, n: int) -> PowerMembership:
         bad = next(
             (e for e, c in enumerate(p.coeffs)
              if (e == 0 and not c.is_zero())
-             or (e >= 1 and not a.filtration.stage(e - 1).contains(c.coords))),
+             or (e >= 1 and not a.filtration.stage(e - 1).contains_raw(c._raw))),
             None,
         )
         witness = {"power": exponent, "x_degree": bad}
@@ -344,27 +342,28 @@ def check_graded_rees_isomorphism(
     failures: list[dict] = []
     checked = 0
     degs = graded.slot_degrees()
-    for i, (pi, vi) in enumerate(graded.adapted):
-        if pi >= 1 and filtration.stage(pi - 1).contains(vi):
+    adapted = list(zip(degs, graded._vectors))
+    for i, (pi, vi) in enumerate(adapted):
+        if pi >= 1 and filtration.stage(pi - 1).contains_raw(vi):
             failures.append({"kind": "injectivity", "slot": i, "degree": pi})
-        elif pi == 0 and not any(vi):
+        elif pi == 0 and not vi:
             failures.append({"kind": "injectivity", "slot": i, "degree": pi})
-    for i, (pi, vi) in enumerate(graded.adapted):
-        for j, (pj, vj) in enumerate(graded.adapted):
+    for i, (pi, vi) in enumerate(adapted):
+        for j, (pj, vj) in enumerate(adapted):
             if pi + pj > max_degree:
                 continue
             checked += 1
-            w = base.multiply_coords(vi, vj)
+            w = base.product(vi, vj)
             rep = graded.representative(
                 graded.algebra.basis_element(i) * graded.algebra.basis_element(j)
             )
-            diff = combine(f, base.dim, ((1, w), (-1, rep.coords)))
+            diff = combine(f, ((1, w), (-1, rep._raw)))
             modulus = (
                 filtration.stage(pi + pj - 1)
                 if pi + pj >= 1
                 else Subspace.zero(f, base.dim)
             )
-            if not modulus.contains(diff):
+            if not modulus.contains_raw(diff):
                 failures.append(
                     {"kind": "multiplicativity", "slots": (i, j), "degrees": (pi, pj)}
                 )

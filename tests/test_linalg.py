@@ -62,6 +62,13 @@ def test_ragged_input_rejected():
         Subspace.span(QQ, 2, [[1, 0], [1]])
 
 
+def test_rows_are_read_once():
+    """Rows given as a generator span what a list of them spans, and a ragged one is still named."""
+    assert Subspace(QQ, 2, (r for r in [[1, 0], [0, 1]])).dim == 2
+    with pytest.raises(ValueError, match="ragged"):
+        Subspace(QQ, 2, (r for r in [[1, 0], [1]]))
+
+
 small_matrix = st.lists(
     st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=5), min_size=3, max_size=3),
     min_size=1,

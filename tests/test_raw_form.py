@@ -1,10 +1,12 @@
-"""The raw form of an exact value is decided once, and a Subspace holds only its raw basis.
+"""The raw form of an exact value is decided once, and the kernels compute only on it.
 
 Over Q a raw value is an int when whole and a reduced Fraction otherwise;
 over GF(p) it is a residue in [0, p).  Scalar construction produces that
 form, and the kernels keep it: the entries a Subspace stores and the
 values multiply_coords and combine return.  A Subspace wraps its rows into
-Scalars only when they are read, and again only after the span grew.
+Scalars only when they are read, and again only after the span grew.  The
+level walk and the graded nil check build no Scalar at all, and an element
+is the same, by == and by hash, whichever route reached it.
 """
 
 from __future__ import annotations
@@ -12,10 +14,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ordsym.algebra import AlgElement, uniform_nil_index
 from ordsym.catalog import builtin_example
 from ordsym.fields import QQ, Field, Scalar
-from ordsym.linalg import Subspace, combine
+from ordsym.graded import associated_graded, verify_graded_nil_index
+from ordsym.linalg import Subspace
+from test_raw_kernel_reference import algebras, combine, sparse_vectors
+from test_rref_reference import FIELDS, entries
 
 
 def test_whole_rational_is_an_int():
@@ -94,3 +101,32 @@ def test_rows_are_wrapped_when_first_read(field, scalars_built):
     assert space.rows is rows and scalars_built == []
     assert space.insert(tuple(Scalar(field, c) for c in (0, 0, 0, 1)))
     assert space.rows != rows
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 7)], ids=str)
+def test_walk_and_graded_check_build_no_scalar(field, scalars_built):
+    """Once the algebras are built, the level walk and the graded nil check run on raw values only."""
+    elts = builtin_example("strictly-upper-triangular", 6, field)[0].basis_elements()
+    filtration = builtin_example("upper-triangular", 4, field)[1]
+    gr = associated_graded(filtration)
+    del scalars_built[:]
+    assert uniform_nil_index(elts) == 6
+    assert verify_graded_nil_index(filtration, gr=gr).ok
+    assert scalars_built == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_equal_elements_from_every_route_are_equal_and_hash_alike(field, data):
+    """A product, read back through the dense constructor, reached by a sum and by a scalar multiple."""
+    algebra = data.draw(algebras(field))
+    a, b, y = (AlgElement(algebra, data.draw(sparse_vectors(field, algebra.dim))) for _ in range(3))
+    c = Scalar(field, data.draw(entries(field).filter(lambda x: Scalar(field, x))))
+    product = a * b
+    # the same values in a non-canonical spelling: a residue plus p, a whole rational as a Fraction
+    spelled = [x.value + field.p if field.p else Fraction(2 * x.value, 2) for x in product.coords]
+    routes = [product, AlgElement(algebra, spelled), (product - y) + y, (product * c) * c.inv()]
+    for e in routes:
+        assert e == product and hash(e) == hash(product)
+    assert (product + y == y) == product.is_zero()

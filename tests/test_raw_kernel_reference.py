@@ -1,13 +1,15 @@
 """Differential tests: the raw-value products, sums and growing spans against the Scalar-based ones.
 
-`StructureAlgebra.multiply_coords` multiplies on raw field values against
-structure constants cached by left factor, `linalg.combine` sums c * v
-over (coefficient, vector) pairs on raw values, and `Subspace.reduce`,
-`contains` and `insert` eliminate against a sparse raw basis kept beside
-`rows`.  The references below are the versions they replaced, which ran
-every cell through Scalar arithmetic: among them the `AlgElement` sum,
-difference, negation and scalar multiple, and the adapted coordinates of
-the associated graded algebra (a transposed inverse times the vector).
+`StructureAlgebra.multiply_coords` multiplies on sparse raw field values
+against structure constants cached by left factor, `linalg.combine` sums
+c * v over (coefficient, sparse raw row) pairs, and `Subspace.reduce`,
+`contains` and `insert` eliminate against a sparse raw basis, the only
+form a Subspace stores; `rows` wraps it when read.  Direct `combine` calls
+go through the dense adapter below.  The references are the versions
+they replaced, which ran every cell through Scalar arithmetic: among them
+the `AlgElement` sum, difference, negation and scalar multiple, and the
+adapted coordinates of the associated graded algebra (a transposed
+inverse times the vector).
 Over Q, GF(2), GF(7) and GF(101), both must give the same products,
 sums and residuals with the same raw values, and a sequence of inserts
 must leave the same rows and pivots as the reference and as the batch
@@ -23,10 +25,26 @@ from hypothesis import given, settings, strategies as st
 
 from ordsym.algebra import AlgElement, StructureAlgebra
 from ordsym.catalog import builtin_example
-from ordsym.fields import QQ, Field, Scalar
+from ordsym import linalg
+from ordsym.fields import QQ, Field, Scalar, dense_scalars, raw_value, read_sparse
 from ordsym.graded import Filtration, associated_graded
-from ordsym.linalg import Subspace, combine, invert_matrix
+from ordsym.linalg import Subspace, invert_matrix
 from test_rref_reference import FIELDS, entries, matrices, raw
+
+
+def combine(field, ambient, terms):
+    """linalg.combine on dense vectors: (coefficient, vector) pairs of field elements.
+
+    The test-local adapter over the sparse kernel: each coefficient and
+    entry is read through the field check, a vector of the wrong length
+    raises ValueError, and the sparse sum is wrapped back into Scalars.
+    """
+    rows = []
+    for c, v in terms:
+        if len(v) != ambient:
+            raise ValueError("vector length != ambient dimension")
+        rows.append((raw_value(field, c), read_sparse(field, v)))
+    return dense_scalars(field, ambient, linalg.combine(field, rows))
 
 
 def reference_multiply_coords(algebra, a, b):

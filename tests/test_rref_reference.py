@@ -1,11 +1,12 @@
 """Differential tests: the raw-value `rref` against the Scalar-based one it replaced.
 
-`rref` reads each entry's value once, eliminates on bare Fractions over Q
-and on residues mod p over GF(p), skips zero entries, and wraps only the
-rows it returns back into Scalars.  The reference below is the version it
+`rref` reads each entry's value once into a sparse raw row (over Q an int
+when whole and a reduced Fraction otherwise, a residue mod p over GF(p)),
+eliminates on the nonzero entries only, and wraps only the rows it
+returns back into Scalars.  The reference below is the version it
 replaced, which ran every cell update through Scalar arithmetic.  Both
-must give the same rows, the same pivots and the same raw values (a
-Fraction over Q, an int over GF(p)) for `rref`, `Subspace`,
+must give the same rows, the same pivots and the same raw values, with
+their types, for `rref`, `Subspace`,
 `solve_consistent`, `solve_square` and `invert_matrix` over Q, GF(2),
 GF(7) and GF(101): on general, sparse, rank-deficient, duplicated and
 zero-row matrices, on inconsistent systems, and on wide 0/1 word-coordinate
