@@ -19,9 +19,10 @@ pushes each nonzero value of a level into the profiles above it, so a
 level holds only its nonzero values, and the walk ends at the first empty
 level.
 
-An element holds its coordinates in the one kernel form, sparse raw values
-{index: raw} (see fields), and reads them as Scalars only when coords is
-asked for.  A product is the sparse sum, through linalg.combine, of the
+An algebra stores its structure constants once, as sparse raw rows, and
+an element its coordinates, as sparse raw values {index: raw} (see
+fields); mul, unit and coords are views that wrap them into Scalars on
+first read.  A product is the sparse sum, through linalg.combine, of the
 structure constants against which its two factors' entries meet; every
 sum, difference and scalar multiple of elements is one combine too, and
 so is each value of the level walk.  multiply_coords and the dense
@@ -31,6 +32,7 @@ constructors are boundary adapters over those kernels.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import islice, product
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
@@ -111,9 +113,11 @@ class StructureAlgebra:
 
     mul maps a 0-based index pair (i, j) to the sparse coordinate dict of
     the product of basis elements i and j; absent pairs multiply to zero.
+    Constants and unit are stored once, raw, in _by_left and _unit; mul and
+    unit are read-only views of them, wrapped on first read.
     """
 
-    __slots__ = ("field", "dim", "names", "mul", "unit", "_by_left", "_unit")
+    __slots__ = ("field", "dim", "names", "_by_left", "_unit", "_mul", "_unit_coords")
 
     def __init__(
         self,
@@ -126,7 +130,8 @@ class StructureAlgebra:
         self.field = field
         self.dim = len(names)
         self.names = tuple(names)
-        clean: dict[tuple[int, int], dict[int, Scalar]] = {}
+        # per left factor i, the raw constants c_ij^k as {j: {k: c}}
+        self._by_left: list[dict[int, dict[int, object]]] = [{} for _ in range(self.dim)]
         for (i, j), entry in mul.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise ValueError(f"product index ({i},{j}) out of range")
@@ -134,28 +139,37 @@ class StructureAlgebra:
             for k, c in entry.items():
                 if not (0 <= k < self.dim):
                     raise ValueError(f"product target index {k} out of range")
-                s = Scalar(field, c)
-                if s:
-                    row[k] = s
+                if v := raw_value(field, c):
+                    row[k] = v
             if row:
-                clean[(i, j)] = row
-        self.mul = clean
-        # per left factor i, the raw constants c_ij^k as {j: {k: c}}
-        self._by_left: list[dict[int, dict[int, object]]] = [{} for _ in range(self.dim)]
-        for (i, j), row in clean.items():
-            self._by_left[i][j] = {k: c.value for k, c in row.items()}
-        self.unit = None if unit is None else tuple(Scalar(field, c) for c in unit)
-        if self.unit is not None and len(self.unit) != self.dim:
+                self._by_left[i][j] = row
+        if unit is not None and len(unit) != self.dim:
             raise ValueError("unit vector has wrong length")
-        self._unit = None if unit is None else read_sparse(field, self.unit)
+        self._unit = None if unit is None else read_sparse(field, unit)
+        self._mul = self._unit_coords = None
         if check:
             report = self.validate()
             if not report.ok:
                 raise InvalidAlgebraError(report)
 
     @property
+    def mul(self) -> dict[tuple[int, int], dict[int, Scalar]]:
+        """The nonzero constants {(i, j): {k: c_ij^k}} as Scalars, wrapped on first read."""
+        if self._mul is None:
+            self._mul = {(i, j): {k: Scalar(self.field, c) for k, c in row.items()}
+                         for i, left in enumerate(self._by_left) for j, row in left.items()}
+        return self._mul
+
+    @property
+    def unit(self) -> Optional[Coords]:
+        """The unit's coordinates as Scalars, wrapped on first read; None without a unit."""
+        if self._unit_coords is None and self._unit is not None:
+            self._unit_coords = dense_scalars(self.field, self.dim, self._unit)
+        return self._unit_coords
+
+    @property
     def is_unital(self) -> bool:
-        return self.unit is not None
+        return self._unit is not None
 
     def multiply_coords(self, a: Sequence[Scalar], b: Sequence[Scalar]) -> Coords:
         """Coordinates of the product: product on the entries read through the field check."""
@@ -289,14 +303,11 @@ class AlgElement:
         if isinstance(other, AlgElement):
             self._check(other)
             return AlgElement.from_raw(self.algebra, self.algebra.product(self._raw, other._raw))
-        if isinstance(other, (Scalar, int)):
+        if isinstance(other, (Scalar, int, Fraction)):
             return self._combine(((raw_value(self.algebra.field, other), self._raw),))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # scalars are central
 
     def __pow__(self, n: int) -> "AlgElement":
         if n < 1:

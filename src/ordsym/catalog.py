@@ -31,8 +31,8 @@ __all__ = ["builtin_example", "builtin_names", "matrix_unit_algebra"]
 
 def _prefix_filtration(algebra: StructureAlgebra, counts: list[int]) -> Filtration:
     """The filtration whose stage i is spanned by the first counts[i] coordinate vectors."""
-    units = Subspace.full(algebra.field, algebra.dim).rows
-    return Filtration(algebra, [Subspace(algebra.field, algebra.dim, units[:c]) for c in counts])
+    field, dim = algebra.field, algebra.dim
+    return Filtration(algebra, [Subspace.from_raw(field, dim, ({k: 1} for k in range(c))) for c in counts])
 
 
 def matrix_unit_algebra(

@@ -18,7 +18,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Optional
 
-from .fields import QQ, Scalar, field_make, scalar_from_json, scalar_to_json
+from .fields import QQ, Scalar, field_make, raw_from_json, scalar_to_json
 from .io import InputError, InvalidAlgebraError, InvalidFiltrationError, load_path
 
 if TYPE_CHECKING:
@@ -119,7 +119,7 @@ def _parse_elements(args, algebra: StructureAlgebra):
     for i, vec in enumerate(data):
         if not isinstance(vec, list) or len(vec) != algebra.dim:
             raise InputError(f"--elements[{i}]: expected a vector of length {algebra.dim}")
-        out.append(algebra.element([scalar_from_json(algebra.field, c) for c in vec]))
+        out.append(algebra.element([raw_from_json(algebra.field, c) for c in vec]))
     return out
 
 
@@ -329,7 +329,7 @@ def cmd_rees_integrality(args):
         for i, vec in enumerate(data):
             if not isinstance(vec, list) or len(vec) != algebra.dim:
                 raise InputError(f"--coeffs[{i}]: expected a vector of length {algebra.dim}")
-            vectors.append([scalar_from_json(algebra.field, c) for c in vec])
+            vectors.append([raw_from_json(algebra.field, c) for c in vec])
         try:
             element = ReesElement.make(filtration, vectors)
         except ValueError as e:

@@ -8,8 +8,9 @@ their representations are identical, so subspace equality downstream
 reduces to plain comparison.  Whole rationals compute as ints, and ``/``
 is never applied to a raw value, since ``1 / 2`` is a float.  No floating
 point anywhere.  Inside the kernels a vector has one form, sparse raw:
-{index: raw value} over its nonzero entries.  Scalar is the boundary form:
-read_sparse field-checks a public vector once, dense_scalars wraps results.
+{index: raw value} over its nonzero entries; each object stores its values
+once, raw.  Scalar is the boundary form: raw_from_json and read_sparse
+field-check input once, and dense_scalars wraps what a caller reads.
 """
 
 from __future__ import annotations
@@ -296,11 +297,16 @@ def scalar_to_json(s: Scalar):
     return s.value if s.field.kind == "GF" else str(s.value)
 
 
-def scalar_from_json(field: Field, raw) -> Scalar:
-    """Read an int or a "num/den" string; ValueError when it names no element of field."""
+def raw_from_json(field: Field, raw):
+    """The raw value of an int or a "num/den" string; ValueError when it names no element of field."""
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise ValueError(f"bad scalar {raw!r}")
     try:
-        return Scalar(field, raw if isinstance(raw, int) else Fraction(raw))
+        return raw_value(field, raw if isinstance(raw, int) else Fraction(raw))
     except ZeroDivisionError:
         raise ValueError(f"bad scalar {raw!r}: zero denominator in {field}") from None
+
+
+def scalar_from_json(field: Field, raw) -> Scalar:
+    """raw_from_json, wrapped."""
+    return Scalar(field, raw_from_json(field, raw))

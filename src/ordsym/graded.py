@@ -8,8 +8,8 @@ every product of adapted representatives is rewritten in adapted
 coordinates (one linalg.times by the inverse of the adapted basis),
 and the component of top weight is kept.  The result is a StructureAlgebra
 in its own right and passes the same validation as any other algebra.  All
-of it runs on sparse raw vectors; the adapted basis is also kept as rows of
-Scalars, its public form.
+of it runs on sparse raw vectors, stored once: GradedAlgebra.adapted, the
+adapted basis as Scalars, is a view wrapped on first read.
 
 verify_graded_nil_index runs the whole pipeline behind the bound
 
@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 from .algebra import (
     AlgElement,
+    Coords,
     Record,
     StructureAlgebra,
     ValidationReport,
@@ -35,7 +36,7 @@ from .algebra import (
     evaluate,
     sym_span_in,
 )
-from .fields import Scalar, dense_scalars, raw_value, read_sparse
+from .fields import dense_scalars, raw_value, read_sparse
 from .freealg import sym_poly
 from .io import InvalidFiltrationError
 from .linalg import Subspace, inverse_rows, times
@@ -52,9 +53,6 @@ __all__ = [
     "HomogeneityReport",
     "sym_degree_check",
 ]
-
-Coords = tuple[Scalar, ...]
-
 
 def validate_filtration(algebra: StructureAlgebra, stages: Sequence[Subspace]) -> ValidationReport:
     """Nesting, exhaustion, and multiplicativity, checked on the adapted basis.
@@ -79,7 +77,7 @@ def validate_filtration(algebra: StructureAlgebra, stages: Sequence[Subspace]) -
     # earlier adapted rows of F_i, all multiplied earlier in a scan of every
     # row pair, so that scan's first failing pair is an adapted pair.  Pairs
     # with i + j >= t land in F_t, the whole algebra.
-    by_degree = [[read_sparse(algebra.field, v) for deg, v in adapted if deg == p] for p in range(t + 1)]
+    by_degree = [[v for deg, v in adapted if deg == p] for p in range(t + 1)]
     for i in range(t):
         for j in range(t - i):
             for u in by_degree[i]:
@@ -97,17 +95,17 @@ def validate_filtration(algebra: StructureAlgebra, stages: Sequence[Subspace]) -
 
 def _adapted_basis(
     algebra: StructureAlgebra, stages: Sequence[Subspace]
-) -> tuple[list[tuple[int, Coords]], list[int]]:
-    """Adapted basis [(degree, vector)] grown through the chain, and its size per stage.
+) -> tuple[list[tuple[int, dict]], list[int]]:
+    """Adapted basis [(degree, sparse raw vector)] grown through the chain, and its size per stage.
 
     A stage's echelon row is kept when it lies outside the span of the rows
     kept before it, so in a nested chain the rows of degree <= p span F_p.
     """
-    adapted: list[tuple[int, Coords]] = []
+    adapted: list[tuple[int, dict]] = []
     component_dims: list[int] = []
     grown = Subspace.zero(algebra.field, algebra.dim)
     for p, stage in enumerate(stages):
-        kept = [row for row, raw in zip(stage.rows, stage.raw_rows()) if grown.insert_raw(raw)]
+        kept = [raw for raw in stage.raw_rows() if grown.insert_raw(raw)]
         adapted.extend((p, row) for row in kept)
         component_dims.append(len(kept))
     return adapted, component_dims
@@ -156,9 +154,10 @@ class Filtration:
 class GradedAlgebra(Record):
     """Concrete associated graded algebra over an adapted basis.
 
-    adapted[i] = (degree, representative vector in ambient coordinates);
-    the graded product of slots i and j keeps the component of degree
-    deg(i) + deg(j) of the representative product.  `algebra` is the
+    adapted[i] = (degree, representative vector in ambient coordinates),
+    a view of _degrees[i] and the sparse raw row _vectors[i], wrapped on
+    first read; the graded product of slots i and j keeps the component of
+    degree deg(i) + deg(j) of the representative product.  `algebra` is the
     resulting StructureAlgebra, so every element/evaluation/span tool
     applies to graded classes unchanged.  _to_adapted is the inverse of the
     matrix whose rows are the adapted vectors: its row k holds the adapted
@@ -174,18 +173,33 @@ class GradedAlgebra(Record):
         _to_adapted: list[dict],
     ):
         self.filtration = filtration
-        self.adapted = adapted
         self.component_dims = component_dims
         self.algebra = algebra
         self._to_adapted = _to_adapted
-        # the adapted vectors as sparse raw rows; not part of the record's value
+        self._degrees = [deg for deg, _ in adapted]
         self._vectors = [read_sparse(algebra.field, vec) for _, vec in adapted]
+        self._adapted = None
+
+    @classmethod
+    def from_raw(cls, filtration, degrees: list[int], vectors: list[dict], component_dims, algebra, to_adapted):
+        """The graded algebra over adapted slots of these degrees and sparse raw vectors, taken as they are."""
+        gr = cls(filtration, (), component_dims, algebra, to_adapted)
+        gr._degrees, gr._vectors = degrees, vectors
+        return gr
+
+    @property
+    def adapted(self) -> list[tuple[int, Coords]]:
+        """[(degree, representative vector as Scalars)] per slot, wrapped on first read."""
+        if self._adapted is None:
+            field, dim = self.algebra.field, self.algebra.dim
+            self._adapted = [(deg, dense_scalars(field, dim, v)) for deg, v in zip(self._degrees, self._vectors)]
+        return self._adapted
 
     def slot_degrees(self) -> list[int]:
-        return [deg for deg, _ in self.adapted]
+        return list(self._degrees)
 
     def slots_of_degree(self, p: int) -> list[int]:
-        return [i for i, (deg, _) in enumerate(self.adapted) if deg == p]
+        return [i for i, deg in enumerate(self._degrees) if deg == p]
 
     def adapted_coords(self, coords) -> Coords:
         """Adapted coordinates of an ambient vector."""
@@ -196,11 +210,14 @@ class GradedAlgebra(Record):
 
     def class_element(self, coords, degree: int) -> AlgElement:
         """The class of a vector of F_degree in the degree-th component."""
-        if not self.filtration.stage(degree).contains(coords):
+        return self._class_of(self.filtration.stage(degree)._read(coords), degree)
+
+    def _class_of(self, raw: dict, degree: int) -> AlgElement:
+        """class_element of a sparse raw vector."""
+        if not self.filtration.stage(degree).contains_raw(raw):
             raise ValueError(f"vector not in stage {degree} of the filtration")
-        field = self.algebra.field
-        ad = times(field, read_sparse(field, coords), self._to_adapted)
-        return AlgElement.from_raw(self.algebra, {i: x for i, x in ad.items() if self.adapted[i][0] == degree})
+        ad = times(self.algebra.field, raw, self._to_adapted)
+        return AlgElement.from_raw(self.algebra, {i: x for i, x in ad.items() if self._degrees[i] == degree})
 
     def representative(self, elt: AlgElement) -> AlgElement:
         """A representative in the filtered algebra, summing adapted vectors."""
@@ -221,10 +238,10 @@ def associated_graded(filtration: Filtration) -> GradedAlgebra:
     base = filtration.algebra
     f = base.field
     adapted, component_dims = filtration._basis or _adapted_basis(base, filtration.stages)
-    vectors = [read_sparse(f, vec) for _, vec in adapted]
+    degs = [deg for deg, _ in adapted]
+    vectors = [vec for _, vec in adapted]
     to_adapted = inverse_rows(f, vectors)
     mul: dict[tuple[int, int], dict[int, object]] = {}
-    degs = [deg for deg, _ in adapted]
     for i, (pi, vi) in enumerate(zip(degs, vectors)):
         for j, (pj, vj) in enumerate(zip(degs, vectors)):
             target = pi + pj
@@ -236,10 +253,11 @@ def associated_graded(filtration: Filtration) -> GradedAlgebra:
                 mul[(i, j)] = entry
     unit = None
     if base.is_unital and filtration.stage(0).contains_raw(base._unit):
-        unit = dense_scalars(f, base.dim, times(f, base._unit, to_adapted))
+        u = times(f, base._unit, to_adapted)
+        unit = [u.get(k, 0) for k in range(base.dim)]
     names = [f"deg{deg}#{i}" for i, deg in enumerate(degs)]
     gr_alg = StructureAlgebra(f, names, mul, unit=unit, check=True)
-    return GradedAlgebra(filtration, adapted, component_dims, gr_alg, to_adapted)
+    return GradedAlgebra.from_raw(filtration, degs, vectors, component_dims, gr_alg, to_adapted)
 
 
 def graded_nil_index_bound(p: int, q: int, d: int) -> int:
@@ -319,9 +337,9 @@ def verify_graded_nil_index(
         raise ValueError(f"need 1 <= p <= q <= top={t}")
     graded = gr if gr is not None else associated_graded(filtration)
     base = filtration.algebra
-    slots_pq = [i for i, (deg, _) in enumerate(graded.adapted) if p <= deg <= q]
-    vectors = graded._vectors
-    slots_q = [i for i, (deg, _) in enumerate(graded.adapted) if deg <= q]
+    degrees, vectors = graded._degrees, graded._vectors
+    slots_pq = [i for i, deg in enumerate(degrees) if p <= deg <= q]
+    slots_q = [i for i, deg in enumerate(degrees) if deg <= q]
 
     rng = random.Random(seed)
     sample_coeffs = [
@@ -352,7 +370,7 @@ def verify_graded_nil_index(
         if not raw:
             continue
         components = [
-            AlgElement.from_raw(gr_alg, {s: r for s, r in raw.items() if graded.adapted[s][0] == deg})
+            AlgElement.from_raw(gr_alg, {s: r for s, r in raw.items() if degrees[s] == deg})
             for deg in range(p, q + 1)
         ]
         span = sym_span_in(components, n_bound)
@@ -425,13 +443,13 @@ def sym_degree_check(
     in_stage = filtration.stage(weight).contains_raw(value._raw)
     graded = gr if gr is not None else associated_graded(filtration)
     classes = [
-        graded.class_element(a.coords, degv) for a, degv in zip(elements, degrees)
+        graded._class_of(a._raw, degv) for a, degv in zip(elements, degrees)
     ]
     gval = evaluate(sym_poly(profile, base.field), classes)
     if weight > t:
         expected = graded.algebra.zero_element()
     else:
-        expected = graded.class_element(value.coords, weight) if in_stage else None
+        expected = graded._class_of(value._raw, weight) if in_stage else None
     graded_match = expected is not None and gval == expected
     return HomogeneityReport(
         ok=in_stage and bool(graded_match),

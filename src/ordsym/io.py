@@ -12,9 +12,10 @@ Schema (1-based indices on the wire):
     }
 
 Rational coefficients travel as "num/den" strings (plain integers allowed);
-prime-field coefficients as integers.  A field override re-reads every
-constant in the requested field, so one fixture can exercise both Q and a
-small prime field.
+prime-field coefficients as integers, each read once by raw_from_json into
+the raw form that is stored.  A field override re-reads every constant in
+the requested field, so one fixture can exercise both Q and a small prime
+field.
 
 The error classes of the command line live here too, so that a command
 can tell a failed check from malformed input without importing the
@@ -26,7 +27,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Optional
 
-from .fields import Field, field_make, field_to_json, scalar_from_json, scalar_to_json
+from .fields import Field, field_make, field_to_json, raw_from_json, scalar_to_json
 
 if TYPE_CHECKING:
     from .algebra import StructureAlgebra, ValidationReport
@@ -85,16 +86,16 @@ def load_description(doc: dict, field_override: Optional[Field] = None):
         _fail("basis", f"expected {dim} names")
     names = [str(b) for b in basis]
 
-    def scalar(raw, where):
+    def value(raw, where):
         try:
-            return scalar_from_json(field, raw)
+            return raw_from_json(field, raw)
         except ValueError as e:
             _fail(where, str(e))
 
     def vector(raw, where):
         if not isinstance(raw, list) or len(raw) != dim:
             _fail(where, f"expected a vector of length {dim}")
-        return [scalar(c, f"{where}[{i}]") for i, c in enumerate(raw)]
+        return [value(c, f"{where}[{i}]") for i, c in enumerate(raw)]
 
     mul_rows = doc.get("mul")
     if not isinstance(mul_rows, list):
@@ -118,7 +119,7 @@ def load_description(doc: dict, field_override: Optional[Field] = None):
             k, c = pair
             if not (isinstance(k, int) and 1 <= k <= dim):
                 _fail(f"{where}[{s}]", f"target index must be in 1..{dim}")
-            entry[k - 1] = scalar(c, f"{where}[{s}]").value
+            entry[k - 1] = value(c, f"{where}[{s}]")
         mul[(i - 1, j - 1)] = entry
     unit = None
     if doc.get("unit") is not None:
@@ -152,12 +153,8 @@ def dump_description(algebra: StructureAlgebra, filtration: Optional[Filtration]
     }
     if algebra.unit is not None:
         doc["unit"] = [scalar_to_json(c) for c in algebra.unit]
-    rows = []
-    for (i, j) in sorted(algebra.mul):
-        entry = algebra.mul[(i, j)]
-        prods = [[k + 1, scalar_to_json(entry[k])] for k in sorted(entry)]
-        rows.append([i + 1, j + 1, prods])
-    doc["mul"] = rows
+    doc["mul"] = [[i + 1, j + 1, [[k + 1, scalar_to_json(c)] for k, c in sorted(entry.items())]]
+                  for (i, j), entry in sorted(algebra.mul.items())]
     if filtration is not None:
         doc["filtration"] = [
             [[scalar_to_json(c) for c in row] for row in stage.rows]

@@ -93,14 +93,20 @@ class Subspace:
         return cls(field, ambient, (tuple(v) for v in vectors))
 
     @classmethod
+    def from_raw(cls, field: Field, ambient: int, rows: Iterable[Raw]) -> "Subspace":
+        """The span of sparse raw rows, taken as they are and read one at a time."""
+        space = cls(field, ambient)
+        for r in rows:
+            space.insert_raw(r)
+        return space
+
+    @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
         return cls(field, ambient)
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        space = cls(field, ambient)
-        space._basis = {c: {} for c in range(ambient)}
-        return space
+        return cls.from_raw(field, ambient, ({c: 1} for c in range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -186,7 +192,7 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace(self.field, self.ambient, self.rows + other.rows)
+        return Subspace.from_raw(self.field, self.ambient, self.raw_rows() + other.raw_rows())
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.field != other.field:
@@ -234,10 +240,7 @@ def invert_matrix(field: Field, a: Sequence[Sequence[Scalar]]) -> list[list[Scal
 def inverse_rows(field: Field, rows: Sequence[Raw]) -> list[Raw]:
     """The inverse of the square matrix with these sparse raw rows, as sparse raw rows."""
     n = len(rows)
-    space = Subspace(field, 2 * n)
-    for i, r in enumerate(rows):
-        space.insert_raw({**r, n + i: 1})
-    return _solution(space, n)
+    return _solution(Subspace.from_raw(field, 2 * n, ({**r, n + i: 1} for i, r in enumerate(rows))), n)
 
 
 def _solution(space: Subspace, n: int) -> list[Raw]:
@@ -247,20 +250,26 @@ def _solution(space: Subspace, n: int) -> list[Raw]:
     return [{k - n: x for k, x in space._basis[c].items()} for c in range(n)]
 
 
-def solve_consistent(field: Field, a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
-    """One exact solution x of A x = b, or None when inconsistent.
+def solve_raw(field: Field, n: int, rows: Iterable[Raw]) -> Raw | None:
+    """One solution x of A x = b from the sparse raw rows of [A | b], b in column n; None when inconsistent.
 
-    Free variables are set to zero, so solutions are deterministic.
+    Free variables are set to zero, so x is read off the canonical basis
+    and depends neither on the order of the rows nor on zero rows.
     """
+    basis = Subspace.from_raw(field, n + 1, rows)._basis
+    if n in basis:
+        return None
+    return {c: x for c, row in basis.items() if (x := row.get(n))}
+
+
+def solve_consistent(field: Field, a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
+    """One exact solution x of A x = b, or None when inconsistent: solve_raw on dense rows."""
     if len(a) != len(b):
         raise ValueError("right-hand side has wrong height")
-    if not a:
-        return []
-    ncols = len(a[0])
-    basis = Subspace(field, ncols + 1, [[*ra, rb] for ra, rb in zip(a, b)])._basis
-    if ncols in basis:
-        return None
-    return list(dense_scalars(field, ncols, {c: x for c, row in basis.items() if (x := row.get(ncols))}))
+    ncols = len(a[0]) if a else 0
+    read = Subspace(field, ncols + 1)._read
+    x = solve_raw(field, ncols, (read([*ra, rb]) for ra, rb in zip(a, b)))
+    return None if x is None else list(dense_scalars(field, ncols, x))
 
 
 def vandermonde_recover(xis: Sequence[Scalar], ws: Sequence[Sequence[Scalar]]) -> list[Vector]:

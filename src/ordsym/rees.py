@@ -2,13 +2,14 @@
 
 For a filtered algebra A with chain F_0 <= ... <= F_t, the Rees algebra R
 collects the polynomials sum_n a_n x^n with a_n in F_n (stages clamp at
-the top).  Everything here works with finite coefficient sequences, never
-formal series.
+the top).  Everything here works with finite coefficient sequences of
+sparse raw elements, never formal series; F_{-1} is the zero stage.
 
 An element a(x) of A[x] is integral of degree n over the scalar
 polynomials when a^n = q_{n-1} a^{n-1} + ... + q_1 a + q_0 with scalar
 polynomials q_i; q_0 multiplies the identity and is forced to zero in a
-non-unital algebra.  Witnesses are found by exact linear solving.  When a
+non-unital algebra.  A witness is one exact solve, linalg.solve_raw, on the
+sparse raw rows of the system; only the q_i it returns are Scalars.  When a
 Rees element with zero constant coefficient and top x-degree m is integral
 of degree n, its power N = m*(n-1)+1 lands in the ideal xR, whose
 x^e-coefficients live one stage lower; that membership is what makes the
@@ -20,9 +21,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .algebra import AlgElement, Record, StructureAlgebra
-from .fields import Field, Scalar
+from .fields import Field, Scalar, raw_value
 from .graded import Filtration, GradedAlgebra, associated_graded
-from .linalg import Subspace, combine, solve_consistent
+from .linalg import Subspace, combine, solve_raw
 
 __all__ = [
     "ScalarPoly",
@@ -42,11 +43,11 @@ class ScalarPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs: Sequence = ()):
-        vals = [Scalar(field, c) for c in coeffs]
+        vals = [raw_value(field, c) for c in coeffs]
         while vals and not vals[-1]:
             vals.pop()
         self.field = field
-        self.coeffs = tuple(vals)
+        self.coeffs = tuple(Scalar(field, v) for v in vals)
 
     @classmethod
     def x(cls, field: Field) -> "ScalarPoly":
@@ -82,9 +83,9 @@ class ScalarPoly:
             if j == 0:
                 parts.append(f"{c}")
             elif j == 1:
-                parts.append(f"{c}*x" if c != self.field.one() else "x")
+                parts.append(f"{c}*x" if c.value != 1 else "x")
             else:
-                parts.append(f"{c}*x^{j}" if c != self.field.one() else f"x^{j}")
+                parts.append(f"{c}*x^{j}" if c.value != 1 else f"x^{j}")
         return " + ".join(parts)
 
 
@@ -112,7 +113,7 @@ class ReesElement:
     __slots__ = ("filtration", "coeffs")
 
     def __init__(self, filtration: Filtration, coeffs: Sequence[AlgElement]):
-        trimmed = _ax_trim(list(coeffs))
+        trimmed = _ax_trim(coeffs)
         for n, a in enumerate(trimmed):
             if not filtration.stage(n).contains_raw(a._raw):
                 raise ValueError(
@@ -171,16 +172,8 @@ class ReesElement:
         )
 
     def in_x_ideal(self) -> bool:
-        """Membership in xR: zero constant term, x^n-coefficient in stage n-1."""
-        if self.is_zero():
-            return True
-        if not self.coeffs[0].is_zero():
-            return False
-        return all(
-            self.filtration.stage(n - 1).contains_raw(a._raw)
-            for n, a in enumerate(self.coeffs)
-            if n >= 1
-        )
+        """Membership in xR: x^n-coefficient in stage n-1, so zero constant term (F_{-1} = 0)."""
+        return all(self.filtration.stage(n - 1).contains_raw(a._raw) for n, a in enumerate(self.coeffs))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -218,45 +211,24 @@ def integral_witness(
         (base.unit_element(),) if base.is_unital else ()
     ]
     cur: tuple[AlgElement, ...] = ()
-    zero, zero_element = f.zero(), base.zero_element()
     for n in range(1, n_max + 1):
         cur = a.coeffs if n == 1 else _ax_mul(cur, a.coeffs, base)
         powers.append(cur)
         cap = deg_max if deg_max is not None else m_top * n
         lo = 0 if base.is_unital else 1
         unknowns = [(i, j) for i in range(lo, n) for j in range(cap + 1)]
-        e_max = max(
-            [m_top * n] + [j + max(len(powers[i]) - 1, 0) for i, j in unknowns]
-        )
-        rows = []
-        rhs = []
-        target = powers[n]
-        for e in range(e_max + 1):
-            t_coeff = target[e] if e < len(target) else zero_element
-            for c in range(base.dim):
-                row = []
-                for i, j in unknowns:
-                    pw = powers[i]
-                    shift = e - j
-                    if 0 <= shift < len(pw):
-                        row.append(pw[shift].coords[c])
-                    else:
-                        row.append(zero)
-                rows.append(row)
-                rhs.append(t_coeff.coords[c])
-        if not unknowns:
-            sol = [] if all(not v for v in rhs) else None
-        else:
-            sol = solve_consistent(f, rows, rhs)
+        # Row (e, c) of [A | b] is coordinate c of the x^e-coefficient: column
+        # (i, j) reads it off powers[i] shifted by j, and b off a^n.
+        rows: dict[tuple[int, int], dict] = {}
+        for col, (pw, j) in enumerate([(powers[i], j) for i, j in unknowns] + [(powers[n], 0)]):
+            for shift, coeff in enumerate(pw):
+                for c, x in coeff._raw.items():
+                    rows.setdefault((j + shift, c), {})[col] = x
+        sol = solve_raw(f, len(unknowns), (rows[ec] for ec in sorted(rows)))
         if sol is not None:
-            multipliers = []
-            for i in range(n):
-                coeffs = [zero] * (cap + 1)
-                for col, (ui, uj) in enumerate(unknowns):
-                    if ui == i:
-                        coeffs[uj] = sol[col]
-                multipliers.append(ScalarPoly(f, coeffs))
-            return IntegralWitness(n, multipliers)
+            # q_i has the coefficients of columns (i, 0..cap); q_0 is zero without a unit
+            x = [0] * (cap + 1) * lo + [sol.get(col, 0) for col in range(len(unknowns))]
+            return IntegralWitness(n, [ScalarPoly(f, x[i * (cap + 1):(i + 1) * (cap + 1)]) for i in range(n)])
     return None
 
 
@@ -290,15 +262,10 @@ def integral_power_in_x_ideal(a: ReesElement, n: int) -> PowerMembership:
             least = k
         if k < exponent:
             p = p * a
-    ok = p.in_x_ideal() if exponent >= 1 else True
+    ok = p.in_x_ideal()
     witness = None
     if not ok:
-        bad = next(
-            (e for e, c in enumerate(p.coeffs)
-             if (e == 0 and not c.is_zero())
-             or (e >= 1 and not a.filtration.stage(e - 1).contains_raw(c._raw))),
-            None,
-        )
+        bad = next((e for e, c in enumerate(p.coeffs) if not a.filtration.stage(e - 1).contains_raw(c._raw)), None)
         witness = {"power": exponent, "x_degree": bad}
     return PowerMembership(ok=ok, exponent=exponent, least_exponent=least, witness=witness)
 
@@ -341,12 +308,9 @@ def check_graded_rees_isomorphism(
     t = filtration.top
     failures: list[dict] = []
     checked = 0
-    degs = graded.slot_degrees()
-    adapted = list(zip(degs, graded._vectors))
+    adapted = list(zip(graded._degrees, graded._vectors))
     for i, (pi, vi) in enumerate(adapted):
-        if pi >= 1 and filtration.stage(pi - 1).contains_raw(vi):
-            failures.append({"kind": "injectivity", "slot": i, "degree": pi})
-        elif pi == 0 and not vi:
+        if filtration.stage(pi - 1).contains_raw(vi):
             failures.append({"kind": "injectivity", "slot": i, "degree": pi})
     for i, (pi, vi) in enumerate(adapted):
         for j, (pj, vj) in enumerate(adapted):
@@ -358,12 +322,7 @@ def check_graded_rees_isomorphism(
                 graded.algebra.basis_element(i) * graded.algebra.basis_element(j)
             )
             diff = combine(f, ((1, w), (-1, rep._raw)))
-            modulus = (
-                filtration.stage(pi + pj - 1)
-                if pi + pj >= 1
-                else Subspace.zero(f, base.dim)
-            )
-            if not modulus.contains_raw(diff):
+            if not filtration.stage(pi + pj - 1).contains_raw(diff):
                 failures.append(
                     {"kind": "multiplicativity", "slots": (i, j), "degrees": (pi, pj)}
                 )
@@ -372,8 +331,8 @@ def check_graded_rees_isomorphism(
         gr_dim = graded.component_dims[i]
         below = filtration.stage(i - 1)
         stage_diff = filtration.stage(i).dim - below.dim
-        residuals = [below.reduce(r) for r in filtration.stage(i).rows]
-        quotient_dim = Subspace(f, base.dim, residuals).dim
+        residuals = (below.reduce_raw(r) for r in filtration.stage(i).raw_rows())
+        quotient_dim = Subspace.from_raw(f, base.dim, residuals).dim
         entry = {
             "degree": i,
             "gr_dim": gr_dim,

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from ordsym.algebra import (
     uniform_nil_index,
 )
 from ordsym.catalog import builtin_example, matrix_unit_algebra
-from ordsym.fields import QQ, Field
+from ordsym.fields import QQ, Field, Scalar
 from ordsym.freealg import FreePoly, multidegrees, sym_poly
 from ordsym.linalg import Subspace
 
@@ -420,3 +421,19 @@ def test_group_algebra_over_prime_field():
     g = A.basis_element(1)
     assert uniform_nil_index([g]) is None
     assert brute_force_nil_index([g]) is None
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 7)], ids=str)
+def test_fraction_scales_an_element_from_either_side(field):
+    """A Fraction coefficient is read like any other, through the field check."""
+    A = builtin_example("upper-triangular", 3, field)[0]
+    e = A.element([1, 2, 0, 3, 0, 1])
+    half = Fraction(1, 2)
+    assert e * half == half * e == e * Scalar(field, half)
+    assert (e * half) * 2 == e == 2 * (half * e)
+    assert (Fraction(-3, 6) * e).coords == tuple(Scalar(field, Fraction(-1, 2)) * c for c in e.coords)
+    if field.is_finite:
+        with pytest.raises(ZeroDivisionError):
+            e * Fraction(1, 7)
+        with pytest.raises(ZeroDivisionError):
+            Fraction(3, 14) * e

@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from ordsym.algebra import StructureAlgebra
 from ordsym.catalog import builtin_example
-from ordsym.fields import Field
+from ordsym.fields import Field, Scalar
 from ordsym.io import InputError, dump_description, load_description, load_path
 
 
@@ -91,3 +93,61 @@ def test_gf_description_roundtrip():
     B, G = load_description(json.loads(text))
     assert B.field == f and B.mul == A.mul
     assert tuple(G.stages) == tuple(F.stages)
+
+
+# A unital algebra on f = 2*1, t, s = -2*t^2 in k[t]/(t^3): f*f = 2f, f*t = 2t,
+# f*s = 2s, t*t = -1/2 s, and the unit is f/2.  The documents spell its
+# constants out of canonical form: "4/2" and "6/3" for 2, "-3/6" for -1/2,
+# residues above p, and explicit zero constants, which are not stored.
+NONCANONICAL_Q = {
+    "field": {"kind": "Q"},
+    "dim": 3,
+    "basis": ["f", "t", "s"],
+    "unit": ["1/2", "0/3", 0],
+    "mul": [[1, 1, [[1, "4/2"]]], [1, 2, [[2, 2]]], [2, 1, [[2, "6/3"]]], [1, 3, [[3, "4/2"]]],
+            [3, 1, [[3, 2], [1, 0]]], [2, 2, [[3, "-3/6"]]], [2, 3, [[3, 0]]], [3, 2, [[1, "0/5"]]]],
+}
+NONCANONICAL_GF7 = {
+    **NONCANONICAL_Q,
+    "field": {"kind": "GF", "p": 7},
+    "unit": [11, 0, 7],
+    "mul": [[1, 1, [[1, 9]]], [1, 2, [[2, 2]]], [2, 1, [[2, 16]]], [1, 3, [[3, -5]]],
+            [3, 1, [[3, 2], [1, 14]]], [2, 2, [[3, "-3/6"]]], [2, 3, [[3, 0]]], [3, 2, [[1, 7]]]],
+}
+
+
+def _canonical_doc(field, two, minus_half, half):
+    return {
+        "field": field,
+        "dim": 3,
+        "basis": ["f", "t", "s"],
+        "unit": [half, 0, 0] if "p" in field else [half, "0", "0"],
+        "mul": [[1, 1, [[1, two]]], [1, 2, [[2, two]]], [1, 3, [[3, two]]], [2, 1, [[2, two]]],
+                [2, 2, [[3, minus_half]]], [3, 1, [[3, two]]]],
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, override, expected",
+    [
+        (NONCANONICAL_Q, None, _canonical_doc({"kind": "Q"}, "2", "-1/2", "1/2")),
+        (NONCANONICAL_Q, Field("GF", 7), _canonical_doc({"kind": "GF", "p": 7}, 2, 3, 4)),
+        (NONCANONICAL_GF7, None, _canonical_doc({"kind": "GF", "p": 7}, 2, 3, 4)),
+    ],
+    ids=["Q", "Q-read-in-GF7", "GF7"],
+)
+def test_noncanonical_constants_round_trip_canonically(doc, override, expected):
+    """Each constant is read once into its canonical raw value, zeros dropped."""
+    A, _ = load_description(doc, field_override=override)
+    assert A.validate().ok
+    assert dump_description(A) == expected
+    field = A.field
+    two, half = Fraction(2), Fraction(1, 2)
+    direct = StructureAlgebra(field, ["f", "t", "s"], {
+        (0, 0): {0: two}, (0, 1): {1: two}, (1, 0): {1: two}, (0, 2): {2: two}, (2, 0): {2: two},
+        (1, 1): {2: -half},
+    }, unit=[half, 0, 0])
+    assert A.mul == direct.mul and A.unit == direct.unit
+    assert all(isinstance(c, Scalar) for row in A.mul.values() for c in row.values())
+    B, _ = load_description(json.loads(json.dumps(dump_description(A))))
+    assert dump_description(B) == expected and B.mul == A.mul and B.unit == A.unit

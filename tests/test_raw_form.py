@@ -4,9 +4,10 @@ Over Q a raw value is an int when whole and a reduced Fraction otherwise;
 over GF(p) it is a residue in [0, p).  Scalar construction produces that
 form, and the kernels keep it: the entries a Subspace stores and the
 values multiply_coords and combine return.  A Subspace wraps its rows into
-Scalars only when they are read, and again only after the span grew.  The
-level walk and the graded nil check build no Scalar at all, and an element
-is the same, by == and by hash, whichever route reached it.
+Scalars only when they are read, and again only after the span grew.  From
+a builtin or a description file to an integrality witness, the library
+builds no Scalar but the multipliers it returns, and an element is the
+same, by == and by hash, whichever route reached it.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordsym import rees
 from ordsym.algebra import AlgElement, uniform_nil_index
 from ordsym.catalog import builtin_example
-from ordsym.fields import QQ, Field, Scalar
-from ordsym.graded import associated_graded, verify_graded_nil_index
-from ordsym.linalg import Subspace
+from ordsym.fields import QQ, Field, Scalar, read_sparse
+from ordsym.graded import Filtration, GradedAlgebra, associated_graded, verify_graded_nil_index
+from ordsym.io import dump_description, load_description
+from ordsym.linalg import Subspace, solve_consistent, solve_raw
 from test_raw_kernel_reference import algebras, combine, sparse_vectors
 from test_rref_reference import FIELDS, entries
 
@@ -104,14 +107,41 @@ def test_rows_are_wrapped_when_first_read(field, scalars_built):
 
 
 @pytest.mark.parametrize("field", [QQ, Field("GF", 7)], ids=str)
-def test_walk_and_graded_check_build_no_scalar(field, scalars_built):
-    """Once the algebras are built, the level walk and the graded nil check run on raw values only."""
+def test_walk_and_graded_check_build_no_scalar(field, scalars_built, monkeypatch):
+    """From a builtin or a description to an integrality witness, every step runs on raw values only.
+
+    Building and validating algebras and filtrations, reading a description,
+    the graded algebra, the level walk, the graded nil check, the gr = R/xR
+    check and the integrality solve build no Scalar; the multipliers that a
+    witness returns are the one Scalar-valued result.
+    """
+    doc = dump_description(*builtin_example("exterior-algebra", 3))  # dumping reads the Scalar views
+    multipliers = []
+    init = rees.ScalarPoly.__init__
+
+    def returned(self, *args):
+        before = len(scalars_built)
+        init(self, *args)
+        del scalars_built[before:]
+        multipliers.append(self)
+
+    monkeypatch.setattr(rees.ScalarPoly, "__init__", returned)
+    del scalars_built[:]
     elts = builtin_example("strictly-upper-triangular", 6, field)[0].basis_elements()
     filtration = builtin_example("upper-triangular", 4, field)[1]
+    loaded, stages = load_description(doc, field_override=field)
+    assert loaded.validate().ok
+    loaded_filtration = Filtration(loaded, stages.stages)
     gr = associated_graded(filtration)
-    del scalars_built[:]
     assert uniform_nil_index(elts) == 6
     assert verify_graded_nil_index(filtration, gr=gr).ok
+    assert rees.check_graded_rees_isomorphism(filtration, 4, gr=gr).ok
+    assert rees.check_graded_rees_isomorphism(loaded_filtration, 3).ok
+    for name, coeffs in (("truncated-polynomial", [[0] * 4, [1, 2, 0, 0], [3, -1, 1, 0]]),
+                         ("strictly-upper-triangular", [[0] * 6, [1, -2, 1, 0, 0, 0], [0, 0, 0, 2, 1, 0]])):
+        element = rees.ReesElement.make(builtin_example(name, 4, field)[1], coeffs)
+        assert rees.integral_witness(element, n_max=4) is not None
+    assert multipliers
     assert scalars_built == []
 
 
@@ -130,3 +160,33 @@ def test_equal_elements_from_every_route_are_equal_and_hash_alike(field, data):
     for e in routes:
         assert e == product and hash(e) == hash(product)
     assert (product + y == y) == product.is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 7)], ids=str)
+def test_views_are_read_only_and_wrapped_once(field):
+    """mul, unit and adapted wrap the one raw copy on first read; the dense GradedAlgebra reads it back."""
+    algebra, filtration = builtin_example("upper-triangular", 3, field)
+    assert algebra.mul is algebra.mul and algebra.unit is algebra.unit
+    assert algebra.mul[(0, 0)] == {0: Scalar(field, 1)} and sum(c.value for c in algebra.unit) == 3
+    gr = associated_graded(filtration)
+    assert gr.adapted is gr.adapted
+    for owner, name in ((algebra, "mul"), (algebra, "unit"), (gr, "adapted")):
+        with pytest.raises(AttributeError):
+            setattr(owner, name, None)
+    dense = GradedAlgebra(filtration, gr.adapted, gr.component_dims, gr.algebra, gr._to_adapted)
+    assert dense == gr
+    assert (dense._degrees, dense._vectors) == (gr._degrees, gr._vectors)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_raw_solve_ignores_row_order_and_zero_rows(field, data):
+    """solve_raw reads x off the canonical basis, so shuffled and padded rows give the dense solution."""
+    ncols = data.draw(st.integers(0, 4))
+    a = data.draw(st.lists(sparse_vectors(field, ncols), min_size=1, max_size=6))
+    b = data.draw(sparse_vectors(field, len(a)))
+    x = solve_consistent(field, a, b)
+    rows = [read_sparse(field, (*r, c)) for r, c in zip(a, b)] + [{}] * data.draw(st.integers(0, 2))
+    shuffled = data.draw(st.permutations(rows))
+    assert solve_raw(field, ncols, shuffled) == (None if x is None else read_sparse(field, x))
