@@ -347,7 +347,7 @@ class AlgElement:
 
 
 def evaluate(p: FreePoly, assignment: Sequence[AlgElement]) -> AlgElement:
-    """Image of a free polynomial under generator j -> assignment[j-1]."""
+    """Image of a free polynomial under generator j -> assignment[j-1]: one combine of (coefficient, word value)."""
     if not assignment:
         raise ValueError("empty assignment")
     if len(assignment) != p.ngens:
@@ -357,16 +357,13 @@ def evaluate(p: FreePoly, assignment: Sequence[AlgElement]) -> AlgElement:
         raise ValueError("assignment mixes algebras")
     if p.field != algebra.field:
         raise ValueError("polynomial and algebra fields differ")
-    acc = algebra.zero_element()
-    for word, coeff in p.terms():
-        if not word:
-            term = algebra.unit_element()  # raises when the algebra has no unit
-        else:
-            term = assignment[word[0] - 1]
-            for letter in word[1:]:
-                term = term * assignment[letter - 1]
-        acc = acc + term * coeff
-    return acc
+    terms = []
+    for word, c in p._terms.items():
+        v = assignment[word[0] - 1]._raw if word else algebra.unit_element()._raw  # raises without a unit
+        for letter in word[1:]:
+            v = algebra.product(v, assignment[letter - 1]._raw)
+        terms.append((c, v))
+    return AlgElement.from_raw(algebra, combine(algebra.field, terms))
 
 
 def sym_values(elts: Sequence[AlgElement], max_total: int) -> dict[tuple[int, ...], AlgElement]:

@@ -18,7 +18,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Optional
 
-from .fields import QQ, Scalar, field_make, raw_from_json, scalar_to_json
+from .fields import QQ, Scalar, field_make, raw_from_json, raw_to_json, scalar_to_json
 from .io import InputError, InvalidAlgebraError, InvalidFiltrationError, load_path
 
 if TYPE_CHECKING:
@@ -129,7 +129,7 @@ def cmd_sym_poly(args):
     field = field_make(args.field) if args.field else QQ
     md = _parse_md(args.md)
     poly = sym_poly(md, field)
-    terms = [[list(w), scalar_to_json(c)] for w, c in poly.terms()]
+    terms = [[list(w), raw_to_json(field, c)] for w, c in poly.raw_terms()]
     count = monomial_count(md)
     results = {
         "profile": list(md),

@@ -10,7 +10,8 @@ is never applied to a raw value, since ``1 / 2`` is a float.  No floating
 point anywhere.  Inside the kernels a vector has one form, sparse raw:
 {index: raw value} over its nonzero entries; each object stores its values
 once, raw.  Scalar is the boundary form: raw_from_json and read_sparse
-field-check input once, and dense_scalars wraps what a caller reads.
+field-check input once, dense_scalars wraps what a caller reads and
+raw_to_json writes; no library function runs Scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -292,9 +293,14 @@ def field_to_json(field: Field) -> dict:
     return {"kind": "GF", "p": field.p}
 
 
+def raw_to_json(field: Field, raw):
+    """The one JSON writer: rationals as "num/den" strings (plain "num" when integral), residues as ints."""
+    return raw if field.p else str(raw)
+
+
 def scalar_to_json(s: Scalar):
-    """Rationals as "num/den" strings (plain "num" when integral), residues as ints."""
-    return s.value if s.field.kind == "GF" else str(s.value)
+    """raw_to_json of a Scalar's value."""
+    return raw_to_json(s.field, s.value)
 
 
 def raw_from_json(field: Field, raw):

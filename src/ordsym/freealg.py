@@ -2,8 +2,9 @@
 
 Words are tuples of 1-based generator indices; the empty tuple is the
 monomial 1.  Canonical word order is by length, then lexicographically,
-which fixes echelon coordinates and serialization.  Polynomials are sparse
-maps word -> nonzero scalar.
+which fixes echelon coordinates and serialization.  A polynomial is held
+once, as {word: nonzero raw value}; its arithmetic is linalg.combine over
+word-keyed rows, and terms, coeff and poly_vector wrap what they return.
 
 The central construction is ``sym_poly(profile)``: the coefficient-one sum
 of every word containing exactly profile[j] occurrences of generator j+1.
@@ -14,12 +15,13 @@ identity is what the span machinery below exploits.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
-from .fields import Field, Scalar
-from .linalg import Subspace
+from .fields import Field, Scalar, dense_scalars, raw_value
+from .linalg import Subspace, combine
 
 __all__ = [
     "Word",
@@ -81,23 +83,29 @@ def _next_permutation(seq: list[int]) -> bool:
 
 
 class FreePoly:
-    """Sparse noncommutative polynomial in m generators over a Field."""
+    """Sparse noncommutative polynomial in m generators over a Field, held as {word: raw}."""
 
     __slots__ = ("field", "ngens", "_terms")
 
-    def __init__(self, field: Field, ngens: int, terms: dict[Word, Scalar] | None = None):
+    def __init__(self, field: Field, ngens: int, terms: dict[Word, object] | None = None):
         if ngens < 1:
             raise ValueError("need at least one generator")
-        clean: dict[Word, Scalar] = {}
+        clean: dict[Word, object] = {}
         for word, coeff in (terms or {}).items():
             if any(not (1 <= letter <= ngens) for letter in word):
                 raise ValueError(f"word {word} uses a generator outside 1..{ngens}")
-            c = coeff if isinstance(coeff, Scalar) and coeff.field == field else Scalar(field, coeff)
-            if c:
+            if c := raw_value(field, coeff):
                 clean[tuple(word)] = c
         self.field = field
         self.ngens = ngens
         self._terms = clean
+
+    @classmethod
+    def from_raw(cls, field: Field, ngens: int, terms: dict[Word, object]) -> "FreePoly":
+        """The polynomial with canonical raw terms {word: raw}, taken as they are."""
+        p = cls.__new__(cls)
+        p.field, p.ngens, p._terms = field, ngens, terms
+        return p
 
     @classmethod
     def zero(cls, field: Field, ngens: int) -> "FreePoly":
@@ -105,24 +113,28 @@ class FreePoly:
 
     @classmethod
     def one(cls, field: Field, ngens: int) -> "FreePoly":
-        return cls(field, ngens, {(): field.one()})
+        return cls(field, ngens, {(): 1})
 
     @classmethod
     def generator(cls, field: Field, ngens: int, j: int) -> "FreePoly":
         if not (1 <= j <= ngens):
             raise ValueError(f"generator index {j} outside 1..{ngens}")
-        return cls(field, ngens, {(j,): field.one()})
+        return cls(field, ngens, {(j,): 1})
 
     @classmethod
     def monomial(cls, field: Field, ngens: int, word: Iterable[int], coeff) -> "FreePoly":
-        return cls(field, ngens, {tuple(word): Scalar(field, coeff)})
+        return cls(field, ngens, {tuple(word): coeff})
 
-    def terms(self) -> list[tuple[Word, Scalar]]:
-        """Terms in canonical order: by word length, then lexicographic."""
+    def raw_terms(self) -> list[tuple[Word, object]]:
+        """(word, raw) terms in canonical order: by word length, then lexicographic."""
         return sorted(self._terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
+    def terms(self) -> list[tuple[Word, Scalar]]:
+        """raw_terms, wrapped."""
+        return [(w, Scalar(self.field, c)) for w, c in self.raw_terms()]
+
     def coeff(self, word: Iterable[int]) -> Scalar:
-        return self._terms.get(tuple(word), self.field.zero())
+        return Scalar(self.field, self._terms.get(tuple(word), 0))
 
     def degrees(self) -> set[int]:
         """Set of word lengths present."""
@@ -135,43 +147,33 @@ class FreePoly:
         if self.field != other.field or self.ngens != other.ngens:
             raise ValueError("mixing polynomials of different field or arity")
 
+    def _combine(self, terms) -> "FreePoly":
+        return FreePoly.from_raw(self.field, self.ngens, combine(self.field, terms))
+
     def __add__(self, other: "FreePoly") -> "FreePoly":
         self._check_compatible(other)
-        terms = dict(self._terms)
-        for w, c in other._terms.items():
-            s = terms.get(w)
-            terms[w] = c if s is None else s + c
-        return FreePoly(self.field, self.ngens, terms)
+        return self._combine(((1, self._terms), (1, other._terms)))
 
     def __sub__(self, other: "FreePoly") -> "FreePoly":
-        return self + (-other)
+        self._check_compatible(other)
+        return self._combine(((1, self._terms), (-1, other._terms)))
 
     def __neg__(self) -> "FreePoly":
-        return FreePoly(self.field, self.ngens, {w: -c for w, c in self._terms.items()})
+        return self._combine(((-1, self._terms),))
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
+        if isinstance(other, (Scalar, int, Fraction)):
             return self.scale(other)
         if not isinstance(other, FreePoly):
             return NotImplemented
         self._check_compatible(other)
-        terms: dict[Word, Scalar] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = terms.get(w)
-                terms[w] = c if s is None else s + c
-        return FreePoly(self.field, self.ngens, terms)
+        right = other._terms.items()
+        return self._combine((c, {w + v: d for v, d in right}) for w, c in self._terms.items())
 
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # scalars are central
 
     def scale(self, coeff) -> "FreePoly":
-        c = Scalar(self.field, coeff)
-        return FreePoly(self.field, self.ngens, {w: c * v for w, v in self._terms.items()})
+        return self._combine(((raw_value(self.field, coeff), self._terms),))
 
     def __pow__(self, n: int) -> "FreePoly":
         if n < 0:
@@ -190,15 +192,15 @@ class FreePoly:
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.ngens, tuple(self.terms())))
+        return hash((self.field, self.ngens, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
-        for w, c in self.terms():
+        for w, c in self.raw_terms():
             mono = "1" if not w else "*".join(f"x{i}" for i in w)
-            parts.append(f"({c})*{mono}" if c != self.field.one() or not w else mono)
+            parts.append(f"({c})*{mono}" if c != 1 or not w else mono)
         return " + ".join(parts)
 
 
@@ -215,7 +217,7 @@ def sym_poly(profile: Sequence[int], field: Field) -> FreePoly:
         raise ValueError("profile must have at least one entry")
     if any(i < 0 for i in profile):
         raise ValueError("profile entries must be nonnegative")
-    return FreePoly(field, m, dict.fromkeys(_profile_words(profile), field.one()))
+    return FreePoly.from_raw(field, m, dict.fromkeys(_profile_words(profile), 1))
 
 
 def _profile_words(profile: Sequence[int]) -> Iterator[Word]:
@@ -233,10 +235,7 @@ def linear_power(coeffs: Sequence[Scalar], n: int) -> FreePoly:
     """(coeffs[0]*x1 + ... + coeffs[m-1]*xm) ** n, expanded."""
     if not coeffs:
         raise ValueError("need at least one coefficient")
-    field = coeffs[0].field
-    m = len(coeffs)
-    form = FreePoly(field, m, {(j,): c for j, c in enumerate(coeffs, start=1) if c})
-    return form**n
+    return FreePoly(coeffs[0].field, len(coeffs), {(j,): c for j, c in enumerate(coeffs, start=1)}) ** n
 
 
 def word_basis(m: int, lengths: Iterable[int]) -> list[Word]:
@@ -252,13 +251,10 @@ def word_basis(m: int, lengths: Iterable[int]) -> list[Word]:
 def poly_vector(p: FreePoly, basis: Sequence[Word]) -> tuple[Scalar, ...]:
     """Coordinates of a polynomial in an explicit word basis."""
     index = {w: i for i, w in enumerate(basis)}
-    coords = [p.field.zero()] * len(basis)
-    for w, c in p._terms.items():
-        try:
-            coords[index[w]] = c
-        except KeyError:
-            raise ValueError(f"word {w} outside the chosen basis") from None
-    return tuple(coords)
+    try:
+        return dense_scalars(p.field, len(basis), {index[w]: c for w, c in p._terms.items()})
+    except KeyError as e:
+        raise ValueError(f"word {e.args[0]} outside the chosen basis") from None
 
 
 def _word_rows(m: int, lengths: Iterable[int], field: Field, rows: Iterable[dict[Word, object]]) -> Subspace:
@@ -314,9 +310,7 @@ def power_span_grid(
         raise ValueError("sample must be nonempty")
     if len(set(sample)) != len(sample):
         raise ValueError("sample values must be distinct")
-    field = sample[0].field
-    rows = ({w: c.value for w, c in linear_power(pt, n)._terms.items()} for pt in product(sample, repeat=m))
-    space = _word_rows(m, [n], field, rows)
+    space = _word_rows(m, [n], sample[0].field, (linear_power(pt, n)._terms for pt in product(sample, repeat=m)))
     return space, len(sample) >= n + 1
 
 

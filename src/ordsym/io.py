@@ -13,9 +13,10 @@ Schema (1-based indices on the wire):
 
 Rational coefficients travel as "num/den" strings (plain integers allowed);
 prime-field coefficients as integers, each read once by raw_from_json into
-the raw form that is stored.  A field override re-reads every constant in
-the requested field, so one fixture can exercise both Q and a small prime
-field.
+the raw form that is stored.  dump_description writes that stored raw
+form back through raw_to_json, so neither direction builds a Scalar.  A
+field override re-reads every constant in the requested field, so one
+fixture can exercise both Q and a small prime field.
 
 The error classes of the command line live here too, so that a command
 can tell a failed check from malformed input without importing the
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Optional
 
-from .fields import Field, field_make, field_to_json, raw_from_json, scalar_to_json
+from .fields import Field, field_make, field_to_json, raw_from_json, raw_to_json
 
 if TYPE_CHECKING:
     from .algebra import StructureAlgebra, ValidationReport
@@ -151,13 +152,14 @@ def dump_description(algebra: StructureAlgebra, filtration: Optional[Filtration]
         "dim": algebra.dim,
         "basis": list(algebra.names),
     }
-    if algebra.unit is not None:
-        doc["unit"] = [scalar_to_json(c) for c in algebra.unit]
-    doc["mul"] = [[i + 1, j + 1, [[k + 1, scalar_to_json(c)] for k, c in sorted(entry.items())]]
-                  for (i, j), entry in sorted(algebra.mul.items())]
+    field, dim = algebra.field, algebra.dim
+    if algebra._unit is not None:
+        doc["unit"] = [raw_to_json(field, algebra._unit.get(k, 0)) for k in range(dim)]
+    doc["mul"] = [[i + 1, j + 1, [[k + 1, raw_to_json(field, c)] for k, c in sorted(left[j].items())]]
+                  for i, left in enumerate(algebra._by_left) for j in sorted(left)]
     if filtration is not None:
         doc["filtration"] = [
-            [[scalar_to_json(c) for c in row] for row in stage.rows]
+            [[raw_to_json(field, row.get(k, 0)) for k in range(dim)] for row in stage.raw_rows()]
             for stage in filtration.stages
         ]
     return doc

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-from .fields import Field, Scalar, canonical_rational, dense_scalars, read_sparse
+from .fields import Field, Scalar, canonical_rational, dense_scalars, raw_value, read_sparse
 
 __all__ = [
     "Subspace",
@@ -286,10 +286,12 @@ def vandermonde_recover(xis: Sequence[Scalar], ws: Sequence[Sequence[Scalar]]) -
     if len(ws) != len(xis):
         raise ValueError("one evaluation vector required per point")
     field = xis[0].field
-    d1 = len(xis)
-    mat = [[xi**i for i in range(d1)] for xi in xis]
-    sol = solve_square(field, mat, [list(w) for w in ws])
-    return [tuple(row) for row in sol]
+    d1, width = len(xis), len(ws[0])
+    read = Subspace(field, width)._read
+    # row j of [V | W]: the raw powers of xi_j, canonicalized by combine, then w_j
+    rows = ({**combine(field, ((raw_value(field, xi) ** i, {i: 1}) for i in range(d1))),
+             **{d1 + k: v for k, v in read(w).items()}} for xi, w in zip(xis, ws))
+    return [dense_scalars(field, width, r) for r in _solution(Subspace.from_raw(field, d1 + width, rows), d1)]
 
 
 def multi_vandermonde_recover(

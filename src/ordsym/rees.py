@@ -11,9 +11,9 @@ polynomials q_i; q_0 multiplies the identity and is forced to zero in a
 non-unital algebra.  A witness is one exact solve, linalg.solve_raw, on the
 sparse raw rows of the system; only the q_i it returns are Scalars.  When a
 Rees element with zero constant coefficient and top x-degree m is integral
-of degree n, its power N = m*(n-1)+1 lands in the ideal xR, whose
-x^e-coefficients live one stage lower; that membership is what makes the
-corresponding graded class nilpotent.
+of degree n, its power N = m*(n-1)+1 lands in the ideal xR, which makes
+the graded class nilpotent.  xR asks the x^e-coefficient to lie one stage
+lower, a condition only for e <= t, so the power check truncates at t.
 """
 
 from __future__ import annotations
@@ -96,13 +96,11 @@ def _ax_trim(coeffs: list[AlgElement]) -> tuple[AlgElement, ...]:
     return tuple(out)
 
 
-def _ax_mul(u: Sequence[AlgElement], v: Sequence[AlgElement], algebra: StructureAlgebra) -> tuple[AlgElement, ...]:
-    """The product of two coefficient sequences: one combine of product terms per x-degree."""
-    if not u or not v:
-        return ()
-    terms: list[list] = [[] for _ in range(len(u) + len(v) - 1)]
-    for i, a in enumerate(u):
-        for j, b in enumerate(v):
+def _ax_mul(u: Sequence[AlgElement], v: Sequence[AlgElement], algebra: StructureAlgebra, size=None) -> tuple:
+    """The product of two coefficient sequences below x-degree size (whole by default): one combine per x-degree."""
+    terms: list[list] = [[] for _ in range(len(u) + len(v) - 1)][:size]
+    for i, a in enumerate(u[:len(terms)]):
+        for j, b in enumerate(v[:len(terms) - i]):
             terms[i + j].extend(algebra.products(a._raw, b._raw))
     return _ax_trim([AlgElement.from_raw(algebra, combine(algebra.field, t)) for t in terms])
 
@@ -247,27 +245,28 @@ def integral_power_in_x_ideal(a: ReesElement, n: int) -> PowerMembership:
 
     m is the top x-degree of a and n its integrality degree.  Also reports
     the least exponent that already lies in xR.  Raises when a has a
-    nonzero constant coefficient.
+    nonzero constant coefficient.  Powers are kept up to x-degree t, the
+    top of the filtration, which is exact: their x^e-coefficients for e <= t
+    read only factor coefficients of x-degree <= t, and for e > t F_{e-1} is
+    F_t, the whole algebra.
     """
     if not a.is_zero() and not a.coeff(0).is_zero():
         raise ValueError("element has a nonzero constant coefficient")
     if n < 1:
         raise ValueError("integrality degree must be >= 1")
-    m_top = max(a.degree, 1)
-    exponent = m_top * (n - 1) + 1
+    exponent = max(a.degree, 1) * (n - 1) + 1
+    filtration = a.filtration
+    size = filtration.top + 1
     least: Optional[int] = None
-    p = a
+    p = ReesElement(filtration, a.coeffs[:size])
     for k in range(1, exponent + 1):
         if least is None and p.in_x_ideal():
             least = k
         if k < exponent:
-            p = p * a
-    ok = p.in_x_ideal()
-    witness = None
-    if not ok:
-        bad = next((e for e, c in enumerate(p.coeffs) if not a.filtration.stage(e - 1).contains_raw(c._raw)), None)
-        witness = {"power": exponent, "x_degree": bad}
-    return PowerMembership(ok=ok, exponent=exponent, least_exponent=least, witness=witness)
+            p = ReesElement(filtration, _ax_mul(p.coeffs, a.coeffs, filtration.algebra, size))
+    bad = next((e for e, c in enumerate(p.coeffs) if not filtration.stage(e - 1).contains_raw(c._raw)), None)
+    witness = None if bad is None else {"power": exponent, "x_degree": bad}
+    return PowerMembership(ok=bad is None, exponent=exponent, least_exponent=least, witness=witness)
 
 
 class IsoReport(Record):

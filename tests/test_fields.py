@@ -8,6 +8,7 @@ from ordsym.fields import (
     Field,
     distinct_scalars,
     field_make,
+    raw_to_json,
     scalar_from_json,
     scalar_to_json,
 )
@@ -127,6 +128,9 @@ def test_serialization_formats():
     assert scalar_to_json(QQ.scalar(Fraction(5, 6))) == "5/6"
     assert scalar_to_json(QQ.scalar(3)) == "3"
     assert scalar_to_json(Field("GF", 7).scalar(4)) == 4
+    assert raw_to_json(QQ, Fraction(-5, 6)) == "-5/6"
+    assert raw_to_json(QQ, 3) == "3"
+    assert raw_to_json(Field("GF", 7), 4) == 4
     assert scalar_from_json(QQ, "-2/3") == QQ.scalar(Fraction(-2, 3))
     assert scalar_from_json(QQ, 7) == QQ.scalar(7)
 

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -244,3 +245,17 @@ def test_word_basis_canonical_order():
 def test_degrees_reports_word_lengths():
     p = sym_poly((1, 1), QQ) + FreePoly.one(QQ, 2)
     assert p.degrees() == {0, 2}
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 7)], ids=repr)
+def test_fraction_scales_a_polynomial_from_either_side(field):
+    p = sym_poly((1, 1), field) + FreePoly.one(field, 2)
+    half = field.scalar(Fraction(1, 2))
+    expected = FreePoly(field, 2, {w: half for w, _ in p.terms()})
+    assert p * Fraction(1, 2) == Fraction(1, 2) * p == p.scale(half) == expected
+    assert (p * Fraction(-3, 6)).coeff(()) == -half
+    if field.is_finite:
+        with pytest.raises(ZeroDivisionError):
+            p * Fraction(1, 7)
+        with pytest.raises(ZeroDivisionError):
+            Fraction(3, 14) * p

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ordsym.catalog import builtin_example
-from ordsym.fields import QQ
+from ordsym.fields import QQ, Field
 from ordsym.freealg import multidegrees
 from ordsym.graded import (
     Filtration,
@@ -308,3 +308,20 @@ def test_level_of():
     assert F.level_of(unit_elt(A, "E11").coords) == 0
     assert F.level_of(unit_elt(A, "E12").coords) == 1
     assert F.level_of(unit_elt(A, "E13").coords) == 2
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 7)], ids=repr)
+def test_class_element_reads_a_dense_vector_of_its_stage(field):
+    for name, param in BUILTINS:
+        A, F = builtin_example(name, param, field)
+        gr = associated_graded(F)
+        for d in range(F.top + 1):
+            stage = F.stage(d)
+            for row, raw in zip(stage.rows, stage.raw_rows()):
+                assert gr.class_element(row, d) == gr._class_of(raw, d), (name, d)
+            outside = next((e for e in A.basis_elements() if not stage.contains(e.coords)), None)
+            if outside is not None:
+                with pytest.raises(ValueError, match="not in stage"):
+                    gr.class_element(outside.coords, d)
+            with pytest.raises(ValueError, match="length"):
+                gr.class_element([field.zero()] * (A.dim + 1), d)

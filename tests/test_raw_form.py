@@ -110,12 +110,12 @@ def test_rows_are_wrapped_when_first_read(field, scalars_built):
 def test_walk_and_graded_check_build_no_scalar(field, scalars_built, monkeypatch):
     """From a builtin or a description to an integrality witness, every step runs on raw values only.
 
-    Building and validating algebras and filtrations, reading a description,
-    the graded algebra, the level walk, the graded nil check, the gr = R/xR
+    Building and validating algebras and filtrations, writing and reading a
+    description, the graded algebra, the level walk, the graded nil check, the gr = R/xR
     check and the integrality solve build no Scalar; the multipliers that a
     witness returns are the one Scalar-valued result.
     """
-    doc = dump_description(*builtin_example("exterior-algebra", 3))  # dumping reads the Scalar views
+    source = builtin_example("exterior-algebra", 3)
     multipliers = []
     init = rees.ScalarPoly.__init__
 
@@ -127,6 +127,7 @@ def test_walk_and_graded_check_build_no_scalar(field, scalars_built, monkeypatch
 
     monkeypatch.setattr(rees.ScalarPoly, "__init__", returned)
     del scalars_built[:]
+    doc = dump_description(*source)
     elts = builtin_example("strictly-upper-triangular", 6, field)[0].basis_elements()
     filtration = builtin_example("upper-triangular", 4, field)[1]
     loaded, stages = load_description(doc, field_override=field)

@@ -7,6 +7,7 @@ from ordsym.catalog import builtin_example
 from ordsym.fields import QQ, Field
 from ordsym.graded import GradedAlgebra, associated_graded
 from ordsym.rees import (
+    PowerMembership,
     ReesElement,
     ScalarPoly,
     check_graded_rees_isomorphism,
@@ -260,3 +261,48 @@ def test_iso_check_over_prime_fields():
             _, F = builtin_example(name, param, f)
             report = check_graded_rees_isomorphism(F, max_degree=4)
             assert report.ok, (name, param, p, report.failures)
+
+
+def power_membership_reference(a, n):
+    """The power check without truncation: every power multiplied out in full."""
+    exponent = max(a.degree, 1) * (n - 1) + 1
+    least, p = None, a
+    for k in range(1, exponent + 1):
+        if least is None and p.in_x_ideal():
+            least = k
+        if k < exponent:
+            p = p * a
+    ok = p.in_x_ideal()
+    witness = None
+    if not ok:
+        bad = next(e for e, c in enumerate(p.coeffs) if not a.filtration.stage(e - 1).contains(c.coords))
+        witness = {"power": exponent, "x_degree": bad}
+    return PowerMembership(ok=ok, exponent=exponent, least_exponent=least, witness=witness)
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 2), Field("GF", 101)], ids=repr)
+def test_truncated_power_check_matches_the_full_powers(field):
+    rng = random.Random(41)
+    for name, param in [("truncated-polynomial", 4), ("truncated-polynomial", 6), ("upper-triangular", 4),
+                        ("exterior-algebra", 3), ("strictly-upper-triangular", 4)]:
+        A, F = builtin_example(name, param, field)
+        for _ in range(2):
+            coeffs = [A.zero_element()]
+            for n in range(1, F.top + 2):  # one coefficient above the top, where stages clamp
+                coeffs.append(A.element([0] * A.dim))
+                for row in F.stage(n).rows:
+                    coeffs[-1] = coeffs[-1] + rng.randint(-2, 2) * A.element(row)
+            a = ReesElement(F, coeffs)
+            w = integral_witness(a, n_max=A.dim)
+            for n in range(1, (w.degree if w else 2) + 1):
+                assert integral_power_in_x_ideal(a, n) == power_membership_reference(a, n), (name, n)
+    # failing cases: t x + t^2 x^2 in k[t]/(t^4) is outside xR up to its cube
+    A, F = builtin_example("truncated-polynomial", 4, field)
+    a = ReesElement.make(F, [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    for n, exponent, x_degree in ((1, 1, 1), (2, 3, 3)):
+        out = integral_power_in_x_ideal(a, n)
+        assert out == power_membership_reference(a, n)
+        assert not out.ok and out.least_exponent is None
+        assert out.witness == {"power": exponent, "x_degree": x_degree}
+    assert integral_power_in_x_ideal(a, 3) == power_membership_reference(a, 3)
+    assert integral_power_in_x_ideal(a, 3).least_exponent == 4
