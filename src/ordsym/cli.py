@@ -471,15 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -497,9 +488,6 @@ def main(argv=None) -> int:
         status, results, witnesses = "fail", fail.results, fail.witnesses
     except (InvalidAlgebraError, InvalidFiltrationError) as e:
         status, results = "fail", {"detail": str(e)}
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
@@ -511,7 +499,16 @@ def main(argv=None) -> int:
         "witnesses": witnesses,
         "timing_ms": round((time.perf_counter() - start) * 1000.0, 3),
     }
-    _emit(report, args.out)
+    text = json.dumps(report, indent=2) + "\n"
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"input error: {e}", file=sys.stderr)
+            return 2
+    else:
+        sys.stdout.write(text)
     return 0 if status == "pass" else 1
 
 

@@ -33,11 +33,10 @@ from .algebra import (
     StructureAlgebra,
     ValidationReport,
     algebraic_degree,
-    evaluate,
     sym_span_in,
+    sym_values,
 )
 from .fields import dense_scalars, raw_value, read_sparse
-from .freealg import sym_poly
 from .io import InvalidFiltrationError
 from .linalg import Subspace, inverse_rows, times
 
@@ -420,8 +419,9 @@ def sym_degree_check(
     elements[i] must lie in stage start_degree + i.  The symmetric sum for
     `profile` then lands in the stage of weight sum_i (start_degree+i) *
     profile[i], and its graded class equals the symmetric sum of the
-    classes.  The all-zero profile is a statement about the constant 1 and
-    is only meaningful in a unital algebra; it is reported as skipped
+    classes.  Both values are read off the first-letter level walk of
+    sym_values.  The all-zero profile is a statement about the constant 1
+    and is only meaningful in a unital algebra; it is reported as skipped
     otherwise.
     """
     m = len(elements)
@@ -435,25 +435,28 @@ def sym_degree_check(
         if not filtration.stage(degv).contains_raw(a._raw):
             raise ValueError(f"element not in stage {degv}")
     base = filtration.algebra
-    if not any(profile):
-        if not base.is_unital:
-            return HomogeneityReport(ok=True, weight=0, in_stage=True, graded_match=None, skipped=True)
+    if not any(profile) and not base.is_unital:
+        return HomogeneityReport(ok=True, weight=0, in_stage=True, graded_match=None, skipped=True)
+    if any(i < 0 for i in profile):
+        raise ValueError("profile entries must be nonnegative")
+    algebra = elements[0].algebra
+    if any(a.algebra is not algebra for a in elements):
+        raise ValueError("assignment mixes algebras")
+    if algebra.field != base.field:
+        raise ValueError("polynomial and algebra fields differ")
+    n = sum(profile)
+    used = [j for j, i in enumerate(profile) if i]  # the letters the words use: the walk needs no others
+    key = tuple(profile[j] for j in used)
     weight = sum(degv * i for degv, i in zip(degrees, profile))
-    value = evaluate(sym_poly(profile, base.field), list(elements))
+    value = sym_values([elements[j] for j in used], n)[key] if n else algebra.unit_element()
     in_stage = filtration.stage(weight).contains_raw(value._raw)
     graded = gr if gr is not None else associated_graded(filtration)
-    classes = [
-        graded._class_of(a._raw, degv) for a, degv in zip(elements, degrees)
-    ]
-    gval = evaluate(sym_poly(profile, base.field), classes)
+    classes = [graded._class_of(a._raw, degv) for a, degv in zip(elements, degrees)]
+    gval = sym_values([classes[j] for j in used], n)[key] if n else graded.algebra.unit_element()
     if weight > t:
         expected = graded.algebra.zero_element()
     else:
         expected = graded._class_of(value._raw, weight) if in_stage else None
     graded_match = expected is not None and gval == expected
-    return HomogeneityReport(
-        ok=in_stage and bool(graded_match),
-        weight=weight,
-        in_stage=in_stage,
-        graded_match=graded_match,
-    )
+    return HomogeneityReport(ok=in_stage and bool(graded_match), weight=weight, in_stage=in_stage,
+                             graded_match=graded_match)

@@ -41,6 +41,7 @@ from ordsym.rees import (
     integral_power_in_x_ideal,
     integral_witness,
 )
+from oracle import unit_elt
 
 BUILTINS = [
     ("upper-triangular", 3),
@@ -53,12 +54,6 @@ BUILTINS = [
 ]
 
 FIELDS = [QQ, Field("GF", 2), Field("GF", 3), Field("GF", 5), Field("GF", 7)]
-
-
-def _unit_elt(algebra, name, c=1):
-    coords = [0] * algebra.dim
-    coords[algebra.names.index(name)] = c
-    return algebra.element(coords)
 
 
 def test_criterion_1_symmetric_polynomial_ground_truth():
@@ -143,11 +138,11 @@ def test_criterion_4_vandermonde_roundtrips():
 def test_criterion_5_nil_index_oracle_equivalence():
     gf5 = Field("GF", 5)
     A5 = builtin_example("upper-triangular", 3, gf5)[0]
-    elts5 = [_unit_elt(A5, "E12"), _unit_elt(A5, "E23")]
+    elts5 = [unit_elt(A5, "E12"), unit_elt(A5, "E23")]
     assert brute_force_nil_index(elts5) == 3
     assert uniform_nil_index(elts5) == 3
     AQ = builtin_example("upper-triangular", 3)[0]
-    assert uniform_nil_index([_unit_elt(AQ, "E12"), _unit_elt(AQ, "E23")]) == 3
+    assert uniform_nil_index([unit_elt(AQ, "E12"), unit_elt(AQ, "E23")]) == 3
 
     checked = 0
     for name, param in BUILTINS:
@@ -208,7 +203,7 @@ def test_criterion_7_linear_bound_form():
 
 def test_criterion_8_integral_power_membership():
     A, F = builtin_example("upper-triangular", 3)
-    a = ReesElement(F, [A.zero_element(), _unit_elt(A, "E11") + _unit_elt(A, "E12")])
+    a = ReesElement(F, [A.zero_element(), unit_elt(A, "E11") + unit_elt(A, "E12")])
     w = integral_witness(a, n_max=4)
     assert w is not None and w.degree == 2
     assert w.multipliers[1] == ScalarPoly.x(QQ) and w.multipliers[0].is_zero()
@@ -217,7 +212,7 @@ def test_criterion_8_integral_power_membership():
     assert out.ok and out.least_exponent == 2
     assert not a.in_x_ideal()
     sq = a * a
-    assert sq.coeff(2) == _unit_elt(A, "E11") + _unit_elt(A, "E12")
+    assert sq.coeff(2) == unit_elt(A, "E11") + unit_elt(A, "E12")
     print("criterion 8 PASS: (E11+E12)x integral at n=2 via q1=x; square in xR, element itself outside")
 
 

@@ -21,16 +21,11 @@ from ordsym.catalog import builtin_example, matrix_unit_algebra
 from ordsym.fields import QQ, Field, Scalar
 from ordsym.freealg import FreePoly, multidegrees, sym_poly
 from ordsym.linalg import Subspace
+from oracle import unit_elt
 
 
 def ut3(field=QQ):
     return builtin_example("upper-triangular", 3, field)[0]
-
-
-def unit_elt(algebra, name, c=1):
-    coords = [0] * algebra.dim
-    coords[algebra.names.index(name)] = c
-    return algebra.element(coords)
 
 
 def test_ut3_validates():

@@ -162,6 +162,13 @@ def test_out_file_written(tmp_path):
     assert list(report) == ["command", "status", "params", "results", "witnesses", "timing_ms"]
 
 
+def test_exit_2_on_unwritable_out(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "r.json", tmp_path):  # a missing directory, and a directory
+        assert main(["span-dim", "--n", "2", "--m", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")
+
+
 def test_alg_degree_unital_flag(capsys):
     code, report = run(
         ["alg-degree", "--builtin", "truncated-polynomial:4", "--unital"], capsys

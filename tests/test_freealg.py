@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 from math import comb
 
@@ -18,29 +17,7 @@ from ordsym.freealg import (
     word_basis,
     word_multidegree,
 )
-
-
-def words_with_profile(profile):
-    """Oracle: enumerate the distinct words via raw permutations."""
-    letters = []
-    for j, count in enumerate(profile, start=1):
-        letters.extend([j] * count)
-    return sorted(set(itertools.permutations(letters)))
-
-
-def expand_power_oracle(coeffs, n):
-    """Oracle: expand (sum_j c_j x_j)^n term by term over all index strings."""
-    m = len(coeffs)
-    field = coeffs[0].field
-    terms = {}
-    for js in itertools.product(range(1, m + 1), repeat=n):
-        c = field.one()
-        for j in js:
-            c = c * coeffs[j - 1]
-        if c:
-            prev = terms.get(js, field.zero())
-            terms[js] = prev + c
-    return FreePoly(field, m, {w: c for w, c in terms.items() if c})
+from oracle import expand_power_oracle, words_with_profile
 
 
 def test_sym_poly_2_2_exact_terms():

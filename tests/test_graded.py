@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ordsym.catalog import builtin_example
+from ordsym.catalog import builtin_example, builtin_names
 from ordsym.fields import QQ, Field
 from ordsym.freealg import multidegrees
 from ordsym.graded import (
@@ -15,26 +15,7 @@ from ordsym.graded import (
     verify_graded_nil_index,
 )
 from ordsym.linalg import Subspace
-
-
-BUILTINS = [
-    ("upper-triangular", 3),
-    ("upper-triangular", 4),
-    ("strictly-upper-triangular", 3),
-    ("truncated-polynomial", 4),
-    ("exterior-algebra", 2),
-    ("exterior-algebra", 3),
-]
-
-
-def ut3():
-    return builtin_example("upper-triangular", 3)
-
-
-def unit_elt(algebra, name, c=1):
-    coords = [0] * algebra.dim
-    coords[algebra.names.index(name)] = c
-    return algebra.element(coords)
+from oracle import BUILTINS, outcome, reference_sym_degree_check, stage_element, unit_elt, ut3
 
 
 def test_band_chain_validates():
@@ -257,17 +238,50 @@ def test_graded_class_compatibility_sweep():
             continue
         gr = associated_graded(F)
         q = min(t, 2)
-        elements = []
-        for deg in range(1, q + 1):
-            v = A.zero_element()
-            for row in F.stage(deg).rows:
-                v = v + rng.randint(-2, 2) * A.element(row)
-            elements.append(v)
+        elements = [stage_element(F, deg, rng) for deg in range(1, q + 1)]
         m = len(elements)
         for total in range(1, 5):
             for md in multidegrees(total, m):
                 report = sym_degree_check(F, elements, 1, md, gr=gr)
                 assert report.ok, (name, param, md)
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 2), Field("GF", 3), Field("GF", 101)], ids=str)
+def test_sym_degree_check_matches_word_by_word_reference(field):
+    """Report for report, and error for error, the level walk gives what word-by-word evaluation gave."""
+    seen = set()
+    for name, param in BUILTINS:
+        A, F = builtin_example(name, param, field)
+        gr = associated_graded(F)
+        rng = random.Random(f"{name}:{param}/{field}")
+        for start in range(F.top + 1):
+            for m in range(1, min(2, F.top - start + 1) + 1):
+                elements = [stage_element(F, start + i, rng) for i in range(m)]
+                for total in range(5):
+                    for md in multidegrees(total, m):
+                        args = (F, elements, start, md)
+                        expected = reference_sym_degree_check(*args, gr=gr)
+                        assert sym_degree_check(*args, gr=gr) == expected, (name, param, start, md)
+                        seen.add("skipped" if expected.skipped else "checked")
+                        if expected.weight > F.top:
+                            seen.add("weight above t")
+        # a negative profile entry, elements of two copies of one algebra, and an element outside its stage
+        other = builtin_example(name, param, field)[0]
+        x, y = stage_element(F, 0, rng), stage_element(F, 1, rng)
+        for args in ((F, [y], 1, (-1,)), (F, [x, other.element(y.coords)], 0, (1, 1)),
+                     (F, [A.basis_element(A.dim - 1)] * 2, 0, (1, 0))):
+            expected = outcome(lambda: reference_sym_degree_check(*args, gr=gr))
+            assert outcome(lambda: sym_degree_check(*args, gr=gr)) == expected, (name, param, args[3])
+            seen.add(expected if isinstance(expected, str) else "no error")
+    # a unital algebra whose unit sits in degree 1: gr has no unit, and the empty word raises on both sides
+    A, F = builtin_example("upper-triangular", 3, field)
+    chain = Filtration(A, [Subspace.zero(field, A.dim), Subspace(field, A.dim, [A.unit]), Subspace.full(field, A.dim)])
+    args = (chain, [A.unit_element()], 1, (0,))
+    assert outcome(lambda: sym_degree_check(*args)) == outcome(lambda: reference_sym_degree_check(*args))
+    assert outcome(lambda: sym_degree_check(*args)) == "ValueError: algebra has no unit"
+    assert {name for name, _ in BUILTINS} == set(builtin_names())
+    assert {"skipped", "checked", "weight above t", "ValueError: profile entries must be nonnegative",
+            "ValueError: assignment mixes algebras", "ValueError: element not in stage 0"} <= seen, seen
 
 
 def test_refined_band_chain_pipeline():

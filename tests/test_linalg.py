@@ -13,7 +13,7 @@ from ordsym.linalg import (
     solve_consistent,
     vandermonde_recover,
 )
-from test_rref_reference import FIELDS, matrices, raw
+from oracle import FIELDS, dense_sum, forward_grid, forward_vandermonde, matrices, raw
 
 
 def vecs(field, rows):
@@ -137,18 +137,6 @@ def test_contains_agrees_with_solvability(rows, target):
     assert s.contains(v) == (sol is not None)
 
 
-def forward_vandermonde(xis, vs):
-    """Oracle: w_j = sum_i xi_j^i v_i, straight from the definition."""
-    out = []
-    for xi in xis:
-        w = [xi.field.zero()] * len(vs[0])
-        for i, v in enumerate(vs):
-            f = xi**i
-            w = [a + f * b for a, b in zip(w, v)]
-        out.append(w)
-    return out
-
-
 def test_vandermonde_d0_identity():
     w = [QQ.scalar(3), QQ.scalar(4)]
     got = vandermonde_recover([QQ.scalar(5)], [w])
@@ -182,33 +170,12 @@ def test_membership_transport():
         w_basis = [[QQ.scalar(rng.randint(-3, 3)) for _ in range(ambient)] for _ in range(2)]
         W = Subspace(QQ, ambient, w_basis)
         d = rng.randint(1, 4)
-        vs = []
-        for _ in range(d + 1):
-            v = [QQ.zero()] * ambient
-            for row in W.rows:
-                c = QQ.scalar(rng.randint(-3, 3))
-                v = [a + c * b for a, b in zip(v, row)]
-            vs.append(v)
+        vs = [dense_sum(QQ, ambient, ((rng.randint(-3, 3), row) for row in W.rows)) for _ in range(d + 1)]
         xis = [QQ.scalar(i) for i in range(d + 1)]
         ws = forward_vandermonde(xis, vs)
         assert all(W.contains(w) for w in ws)
         for rec in vandermonde_recover(xis, ws):
             assert W.contains(rec)
-
-
-def forward_grid(m, n, coeff_family, grid):
-    """Oracle for the multivariate statement: evaluate the full profile sum."""
-    out = {}
-    for pt in grid:
-        field = pt[0].field
-        acc = [field.zero()] * len(next(iter(coeff_family.values())))
-        for mu, w in coeff_family.items():
-            f = field.one()
-            for alpha, e in zip(pt, mu):
-                f = f * alpha**e
-            acc = [a + f * b for a, b in zip(acc, w)]
-        out[pt] = acc
-    return out
 
 
 def _full_grid(sample, m):

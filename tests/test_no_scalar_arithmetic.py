@@ -9,8 +9,8 @@ Scalar operator either.  Each Scalar arithmetic operator is wrapped with a
 counter.  Every command runs on every builtin at a small size over Q,
 GF(3) and GF(101), and on one description file read with --input; the
 free-polynomial and recovery functions run over Q, GF(2), GF(7) and
-GF(101), and their results are compared with the Scalar oracles of the
-other suites afterwards.  The count must stay 0.
+GF(101), and their results are compared afterwards with the Scalar
+references of tests/oracle.py.  The count must stay 0.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from ordsym.freealg import FreePoly, linear_power, multidegrees, power_span_grid
 from ordsym.graded import sym_degree_check
 from ordsym.io import dump_description
 from ordsym.linalg import multi_vandermonde_recover, vandermonde_recover
-from test_freealg import expand_power_oracle, words_with_profile
-from test_linalg import forward_grid, forward_vandermonde
+from oracle import (evaluate_oracle, expand_power_oracle, forward_grid, forward_vandermonde, product_oracle, sum_oracle,
+                    words_with_profile)
 
 OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
              "__neg__", "__truediv__", "inv", "__pow__")
@@ -76,35 +76,6 @@ def test_no_cli_command_calls_a_scalar_operator(field, operator_calls, tmp_path,
         assert code in (0, 1), argv
     capsys.readouterr()
     assert len(operator_calls) == 0
-
-
-def sum_oracle(field, m, scaled):
-    """sum c * p over (Scalar c, polynomial p) pairs, in Scalar arithmetic."""
-    out = {}
-    for c, p in scaled:
-        for w, v in p.terms():
-            out[w] = out.get(w, field.zero()) + c * v
-    return FreePoly(field, m, out)
-
-
-def product_oracle(field, m, p, q):
-    out = {}
-    for w, a in p.terms():
-        for v, b in q.terms():
-            out[w + v] = out.get(w + v, field.zero()) + a * b
-    return FreePoly(field, m, out)
-
-
-def evaluate_oracle(p, elts):
-    """Sum of coefficient times the word's product, term by term, in a unital algebra."""
-    algebra = elts[0].algebra
-    acc = algebra.zero_element()
-    for w, c in p.terms():
-        term = algebra.unit_element()
-        for letter in w:
-            term = term * elts[letter - 1]
-        acc = acc + term * c
-    return acc
 
 
 @pytest.mark.parametrize("field", [QQ, Field("GF", 2), Field("GF", 7), Field("GF", 101)], ids=repr)

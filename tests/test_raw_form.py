@@ -24,8 +24,7 @@ from ordsym.fields import QQ, Field, Scalar, read_sparse
 from ordsym.graded import Filtration, GradedAlgebra, associated_graded, verify_graded_nil_index
 from ordsym.io import dump_description, load_description
 from ordsym.linalg import Subspace, solve_consistent, solve_raw
-from test_raw_kernel_reference import algebras, combine, sparse_vectors
-from test_rref_reference import FIELDS, entries
+from oracle import FIELDS, algebras, combine, entries, sparse_vectors
 
 
 def test_whole_rational_is_an_int():

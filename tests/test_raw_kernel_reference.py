@@ -4,15 +4,16 @@
 against structure constants cached by left factor, `linalg.combine` sums
 c * v over (coefficient, sparse raw row) pairs, and `Subspace.reduce`,
 `contains` and `insert` eliminate against a sparse raw basis, the only
-form a Subspace stores; `rows` wraps it when read.  Direct `combine` calls
-go through the dense adapter below.  The references are the versions
-they replaced, which ran every cell through Scalar arithmetic: among them
-the `AlgElement` sum, difference, negation and scalar multiple, and the
-adapted coordinates of the associated graded algebra (a transposed
-inverse times the vector).
+form a Subspace stores; `rows` wraps it when read.  The references, in
+tests/oracle.py, are the versions they replaced, which ran every cell
+through Scalar arithmetic; the oracle's one dense sum checks `combine`
+(through the oracle's dense adapter), the `AlgElement` sum, difference,
+negation and scalar multiple, and the adapted coordinates of the
+associated graded algebra (a transposed inverse times the vector).
 Over Q, GF(2), GF(7) and GF(101), both must give the same products,
 sums and residuals with the same raw values, and a sequence of inserts
-must leave the same rows and pivots as the reference and as the batch
+must leave the same rows and pivots as the batch reference RREF of the
+vectors so far, growing exactly when its rank grows, and as the batch
 `Subspace(...)` of every vector, with the same hash.
 """
 
@@ -23,88 +24,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordsym.algebra import AlgElement, StructureAlgebra
+from ordsym.algebra import AlgElement
 from ordsym.catalog import builtin_example
-from ordsym import linalg
-from ordsym.fields import QQ, Field, Scalar, dense_scalars, raw_value, read_sparse
+from ordsym.fields import QQ, Field, Scalar
 from ordsym.graded import Filtration, associated_graded
 from ordsym.linalg import Subspace, invert_matrix
-from test_rref_reference import FIELDS, entries, matrices, raw
-
-
-def combine(field, ambient, terms):
-    """linalg.combine on dense vectors: (coefficient, vector) pairs of field elements.
-
-    The test-local adapter over the sparse kernel: each coefficient and
-    entry is read through the field check, a vector of the wrong length
-    raises ValueError, and the sparse sum is wrapped back into Scalars.
-    """
-    rows = []
-    for c, v in terms:
-        if len(v) != ambient:
-            raise ValueError("vector length != ambient dimension")
-        rows.append((raw_value(field, c), read_sparse(field, v)))
-    return dense_scalars(field, ambient, linalg.combine(field, rows))
-
-
-def reference_multiply_coords(algebra, a, b):
-    out = [algebra.field.zero()] * algebra.dim
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
-            entry = algebra.mul.get((i, j))
-            if not entry:
-                continue
-            f = ai * bj
-            for k, c in entry.items():
-                out[k] = out[k] + f * c
-    return tuple(out)
-
-
-def reference_reduce(rows, pivots, v):
-    v = list(v)
-    for row, p in zip(rows, pivots):
-        if v[p]:
-            f = v[p]
-            v = [a - f * b if b else a for a, b in zip(v, row)]
-    return tuple(v)
-
-
-def reference_insert(rows, pivots, vector):
-    """(grew, rows, pivots) after inserting vector into the echelon basis (rows, pivots)."""
-    v = reference_reduce(rows, pivots, vector)
-    p = next((k for k, c in enumerate(v) if c), None)
-    if p is None:
-        return False, rows, pivots
-    inv = v[p].inv()
-    v = tuple(c * inv for c in v)
-    rows = [tuple(a - r[p] * b for a, b in zip(r, v)) if r[p] else r for r in rows]
-    at = sum(1 for q in pivots if q < p)
-    return True, (*rows[:at], v, *rows[at:]), (*pivots[:at], p, *pivots[at:])
-
-
-def vectors(field, n):
-    return st.lists(entries(field), min_size=n, max_size=n).map(
-        lambda cs: tuple(Scalar(field, c) for c in cs))
-
-
-@st.composite
-def algebras(draw, field):
-    """A bilinear product on field^n with sparse random constants (associativity not needed)."""
-    n = draw(st.integers(1, 5))
-    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n * n))
-    mul = {ij: draw(st.dictionaries(st.integers(0, n - 1), entries(field), max_size=n)) for ij in pairs}
-    return StructureAlgebra(field, [f"b{i}" for i in range(n)], mul, check=False)
-
-
-@st.composite
-def sparse_vectors(draw, field, n):
-    v = draw(vectors(field, n))
-    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return tuple(c if k else field.zero() for c, k in zip(v, keep))
+from oracle import (FIELDS, algebras, combine, dense_sum, entries, matrices, raw, reference_multiply_coords,
+                    reference_reduce, reference_rref, sparse_vectors, vectors)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -147,16 +73,19 @@ def test_inserts_match_reference_and_batch(field, data):
     seed = data.draw(matrices(field, max_rows=3))
     n = len(seed[0]) if seed else data.draw(st.integers(1, 6))
     space = Subspace(field, n, seed)
-    rows, pivots = space.rows, space.pivots
+    pivots = reference_rref(field, seed)[1]
     added = []
     for _ in range(data.draw(st.integers(1, 8))):
         # fresh vectors, vectors already in the span, and the zero vector
         pool = [tuple(r) for r in seed + added] + [(field.zero(),) * n]
         v = data.draw(st.one_of(sparse_vectors(field, n), vectors(field, n), st.sampled_from(pool)))
-        grew, rows, pivots = reference_insert(rows, pivots, v)
-        assert space.insert(v) == grew
+        # the RREF is canonical: inserting v must give the batch reference of the prefix,
+        # and v grew the span when the reference rank grew
+        rank = len(pivots)
+        rows, pivots = reference_rref(field, [*seed, *added, v])
+        assert space.insert(v) == (len(pivots) > rank)
         assert raw(space.rows) == raw(rows)
-        assert space.pivots == pivots
+        assert space.pivots == tuple(pivots)
         # the raw basis holds each row's nonzero entries right of its pivot, with their types
         stored = {c: {k: (type(x), x) for k, x in row.items()} for c, row in space._basis.items()}
         assert stored == {c: {k: (type(x.value), x.value) for k, x in enumerate(r) if x and k != c}
@@ -205,34 +134,6 @@ def test_int_and_fraction_entries_are_coerced(field):
         algebra.multiply_coords(e, e[:-1])
 
 
-def reference_combine(field, terms):
-    """sum c * v by Scalar arithmetic, from the zero vector."""
-    out = None
-    for c, v in terms:
-        c = Scalar(field, c)
-        scaled = tuple(c * Scalar(field, x) for x in v)
-        out = scaled if out is None else tuple(a + b for a, b in zip(out, scaled))
-    return out
-
-
-def reference_element_arithmetic(a, b, c):
-    """The Scalar-based AlgElement a + b, a - b, -a and c * a they replaced."""
-    c = Scalar(a.algebra.field, c)
-    return [
-        tuple(x + y for x, y in zip(a.coords, b.coords)),
-        tuple(x - y for x, y in zip(a.coords, b.coords)),
-        tuple(-x for x in a.coords),
-        tuple(c * x for x in a.coords),
-    ]
-
-
-def reference_to_adapted_coords(field, to_adapted, vec):
-    """to_adapted * vec, with to_adapted the inverse of the matrix whose columns are the adapted vectors."""
-    support = [(k, c) for k, c in enumerate(vec) if c]
-    zero = field.zero()
-    return tuple(sum((row[k] * c for k, c in support), zero) for row in to_adapted)
-
-
 def coefficients(field):
     """Coefficients as Scalars, ints or Fractions, with zero and one drawn often."""
     return st.one_of(st.sampled_from([0, 1, -1]), entries(field),
@@ -257,7 +158,7 @@ def combine_terms(draw, field):
 def test_combine_matches_reference(field, data):
     n, terms = data.draw(combine_terms(field))
     got = combine(field, n, terms)
-    expected = reference_combine(field, terms) or (field.zero(),) * n
+    expected = dense_sum(field, n, terms)
     assert raw([got]) == raw([expected])
 
 
@@ -269,7 +170,10 @@ def test_element_arithmetic_matches_reference(field, data):
     a, b = (AlgElement(algebra, data.draw(sparse_vectors(field, algebra.dim))) for _ in range(2))
     c = data.draw(coefficients(field).filter(lambda c: isinstance(c, (int, Scalar))))
     got = [(a + b).coords, (a - b).coords, (-a).coords, (c * a).coords]
-    assert raw(got) == raw(reference_element_arithmetic(a, b, c))
+    n, x, y = algebra.dim, a.coords, b.coords
+    expected = [dense_sum(field, n, [(1, x), (1, y)]), dense_sum(field, n, [(1, x), (-1, y)]),
+                dense_sum(field, n, [(-1, x)]), dense_sum(field, n, [(c, x)])]
+    assert raw(got) == raw(expected)
     assert (a * c).coords == (c * a).coords
 
 
@@ -284,20 +188,21 @@ def test_adapted_coordinates_match_reference(field, data):
               Subspace.full(field, algebra.dim)]
     gr = associated_graded(Filtration(algebra, stages))
     vecs = [v for _, v in gr.adapted]
-    to_adapted = invert_matrix(field, [[v[r] for v in vecs] for r in range(algebra.dim)])
+    # the columns of the inverse of the matrix whose columns are the adapted vectors
+    to_adapted = list(zip(*invert_matrix(field, [[v[r] for v in vecs] for r in range(algebra.dim)])))
     ws = [algebra.multiply_coords(u, v) for u in vecs for v in vecs]
     ws.append(data.draw(vectors(field, algebra.dim)))
     for w in ws:
-        assert raw([gr.adapted_coords(w)]) == raw([reference_to_adapted_coords(field, to_adapted, w)])
+        assert raw([gr.adapted_coords(w)]) == raw([dense_sum(field, algebra.dim, zip(w, to_adapted))])
     # the graded products are the top components of the reference adapted coordinates
     degs = gr.slot_degrees()
     for (i, pi), (j, pj) in ((x, y) for x in enumerate(degs) for y in enumerate(degs)):
         if pi + pj <= 2:
-            coords = reference_to_adapted_coords(field, to_adapted, algebra.multiply_coords(vecs[i], vecs[j]))
+            coords = dense_sum(field, algebra.dim, zip(algebra.multiply_coords(vecs[i], vecs[j]), to_adapted))
             expected = {k: c for k, c in enumerate(coords) if degs[k] == pi + pj and c}
             assert gr.algebra.mul.get((i, j), {}) == expected
     elt = gr.algebra.element(data.draw(vectors(field, algebra.dim)))
-    expected = reference_combine(field, zip(elt.coords, vecs))
+    expected = dense_sum(field, algebra.dim, zip(elt.coords, vecs))
     assert raw([gr.representative(elt).coords]) == raw([expected])
 
 
@@ -306,7 +211,7 @@ def test_combine_reads_through_the_field_check(field):
     foreign = Field("GF", 5) if field == QQ else QQ
     v = (Scalar(field, 1), Scalar(field, 2), Scalar(field, 0))
     assert raw([combine(field, 3, [(Fraction(1, 2), [2, Fraction(1, 2), 3]), (3, v)])]) == raw(
-        [reference_combine(field, [(Fraction(1, 2), [2, Fraction(1, 2), 3]), (3, v)])])
+        [dense_sum(field, 3, [(Fraction(1, 2), [2, Fraction(1, 2), 3]), (3, v)])])
     assert combine(field, 3, []) == (field.zero(),) * 3
     for terms in ([(Scalar(foreign, 2), v)], [(1, (Scalar(foreign, 1), *v[1:]))], [(1, (Scalar(foreign, 0), *v[1:]))]):
         with pytest.raises(ValueError):

@@ -7,33 +7,13 @@ from ordsym.catalog import builtin_example
 from ordsym.fields import QQ, Field
 from ordsym.graded import GradedAlgebra, associated_graded
 from ordsym.rees import (
-    PowerMembership,
     ReesElement,
     ScalarPoly,
     check_graded_rees_isomorphism,
     integral_power_in_x_ideal,
     integral_witness,
 )
-
-BUILTINS = [
-    ("upper-triangular", 3),
-    ("upper-triangular", 4),
-    ("strictly-upper-triangular", 3),
-    ("truncated-polynomial", 4),
-    ("exterior-algebra", 2),
-    ("exterior-algebra", 3),
-]
-
-
-def ut3():
-    return builtin_example("upper-triangular", 3)
-
-
-def unit_elt(algebra, name, c=1):
-    coords = [0] * algebra.dim
-    coords[algebra.names.index(name)] = c
-    return algebra.element(coords)
-
+from oracle import BUILTINS, power_membership_reference, stage_element, unit_elt, ut3
 
 def test_make_valid_element():
     A, F = ut3()
@@ -83,12 +63,7 @@ def test_closure_under_products():
     for name, param in BUILTINS:
         A, F = builtin_example(name, param)
         for _ in range(5):
-            coeffs = [A.zero_element()]
-            for n in range(1, F.top + 1):
-                v = A.zero_element()
-                for row in F.stage(n).rows:
-                    v = v + rng.randint(-2, 2) * A.element(row)
-                coeffs.append(v)
+            coeffs = [A.zero_element()] + [stage_element(F, n, rng) for n in range(1, F.top + 1)]
             r = ReesElement(F, coeffs)
             prod = r * r  # revalidates membership internally
             for n, c in enumerate(prod.coeffs):
@@ -164,12 +139,7 @@ def test_integrality_implies_power_in_ideal():
     for name, param in BUILTINS:
         A, F = builtin_example(name, param)
         for _ in range(3):
-            coeffs = [A.zero_element()]
-            for n in range(1, F.top + 1):
-                v = A.zero_element()
-                for row in F.stage(n).rows:
-                    v = v + rng.randint(-1, 1) * A.element(row)
-                coeffs.append(v)
+            coeffs = [A.zero_element()] + [stage_element(F, n, rng, bound=1) for n in range(1, F.top + 1)]
             a = ReesElement(F, coeffs)
             w = integral_witness(a, n_max=4)
             if w is None:
@@ -263,23 +233,6 @@ def test_iso_check_over_prime_fields():
             assert report.ok, (name, param, p, report.failures)
 
 
-def power_membership_reference(a, n):
-    """The power check without truncation: every power multiplied out in full."""
-    exponent = max(a.degree, 1) * (n - 1) + 1
-    least, p = None, a
-    for k in range(1, exponent + 1):
-        if least is None and p.in_x_ideal():
-            least = k
-        if k < exponent:
-            p = p * a
-    ok = p.in_x_ideal()
-    witness = None
-    if not ok:
-        bad = next(e for e, c in enumerate(p.coeffs) if not a.filtration.stage(e - 1).contains(c.coords))
-        witness = {"power": exponent, "x_degree": bad}
-    return PowerMembership(ok=ok, exponent=exponent, least_exponent=least, witness=witness)
-
-
 @pytest.mark.parametrize("field", [QQ, Field("GF", 2), Field("GF", 101)], ids=repr)
 def test_truncated_power_check_matches_the_full_powers(field):
     rng = random.Random(41)
@@ -287,11 +240,8 @@ def test_truncated_power_check_matches_the_full_powers(field):
                         ("exterior-algebra", 3), ("strictly-upper-triangular", 4)]:
         A, F = builtin_example(name, param, field)
         for _ in range(2):
-            coeffs = [A.zero_element()]
-            for n in range(1, F.top + 2):  # one coefficient above the top, where stages clamp
-                coeffs.append(A.element([0] * A.dim))
-                for row in F.stage(n).rows:
-                    coeffs[-1] = coeffs[-1] + rng.randint(-2, 2) * A.element(row)
+            # one coefficient above the top, where stages clamp
+            coeffs = [A.zero_element()] + [stage_element(F, n, rng) for n in range(1, F.top + 2)]
             a = ReesElement(F, coeffs)
             w = integral_witness(a, n_max=A.dim)
             for n in range(1, (w.degree if w else 2) + 1):

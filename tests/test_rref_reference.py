@@ -3,7 +3,7 @@
 `rref` reads each entry's value once into a sparse raw row (over Q an int
 when whole and a reduced Fraction otherwise, a residue mod p over GF(p)),
 eliminates on the nonzero entries only, and wraps only the rows it
-returns back into Scalars.  The reference below is the version it
+returns back into Scalars.  The oracle's reference is the version it
 replaced, which ran every cell update through Scalar arithmetic.  Both
 must give the same rows, the same pivots and the same raw values, with
 their types, for `rref`, `Subspace`,
@@ -24,98 +24,8 @@ from hypothesis import given, settings, strategies as st
 from ordsym.fields import QQ, Field, Scalar
 from ordsym.freealg import multidegrees, poly_vector, sym_poly, word_basis
 from ordsym.linalg import Subspace, invert_matrix, rref, solve_consistent, solve_square
-
-FIELDS = [QQ, Field("GF", 2), Field("GF", 7), Field("GF", 101)]
-
-
-def reference_rref(field, rows):
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    for r in work:
-        if len(r) != ncols:
-            raise ValueError("ragged input: rows of unequal length")
-    pivots = []
-    col = 0
-    rix = 0
-    while rix < len(work) and col < ncols:
-        piv = next((i for i in range(rix, len(work)) if work[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rix], work[piv] = work[piv], work[rix]
-        inv = work[rix][col].inv()
-        work[rix] = [x * inv for x in work[rix]]
-        for i in range(len(work)):
-            if i != rix and work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rix])]
-        pivots.append(col)
-        rix += 1
-        col += 1
-    return work[: len(pivots)], pivots
-
-
-def reference_solve_consistent(field, a, b):
-    if not a:
-        return []
-    ncols = len(a[0])
-    red, piv = reference_rref(field, [list(ra) + [rb] for ra, rb in zip(a, b)])
-    x = [field.zero()] * ncols
-    for row, p in zip(red, piv):
-        if p == ncols:
-            return None
-        x[p] = row[-1]
-    return x
-
-
-def reference_solve_square(field, a, b):
-    n = len(a)
-    red, piv = reference_rref(field, [list(ra) + list(rb) for ra, rb in zip(a, b)])
-    if len(red) != n or piv != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in red]
-
-
-def raw(rows):
-    """Rows as (field, value type, value) triples: Scalar equality alone
-    would not tell an int from a whole Fraction over Q."""
-    return [[(x.field, type(x.value), x.value) for x in r] for r in rows]
-
-
-def outcome(call):
-    """A call's result, or the message of the ValueError it raised."""
-    try:
-        return call()
-    except ValueError as e:
-        return f"ValueError: {e}"
-
-
-def entries(field):
-    if field.is_finite:
-        return st.integers(-3 * field.p, 3 * field.p)
-    return st.fractions(min_value=-6, max_value=6, max_denominator=4)
-
-
-@st.composite
-def matrices(draw, field, min_rows=0, max_rows=7, max_cols=7):
-    """A matrix of Scalars: general, sparse, rank-deficient, with duplicate and zero rows."""
-    ncols = draw(st.integers(1, max_cols))
-    base = draw(st.lists(st.lists(entries(field), min_size=ncols, max_size=ncols),
-                         min_size=min_rows, max_size=max_rows))
-    rows = [[Scalar(field, c) for c in r] for r in base]
-    kind = draw(st.sampled_from(["plain", "sparse", "deficient", "duplicates"]))
-    if kind == "sparse":
-        keep = draw(st.lists(st.booleans(), min_size=len(rows) * ncols, max_size=len(rows) * ncols))
-        rows = [[c if keep[i * ncols + k] else field.zero() for k, c in enumerate(r)] for i, r in enumerate(rows)]
-    elif kind == "deficient" and rows:
-        coeffs = draw(st.lists(st.lists(entries(field), min_size=len(rows), max_size=len(rows)),
-                               min_size=1, max_size=4))
-        rows += [[sum((Scalar(field, c) * r[k] for c, r in zip(cs, rows)), field.zero())
-                  for k in range(ncols)] for cs in coeffs]
-    elif kind == "duplicates" and rows:
-        picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3))
-        rows += [list(rows[i]) for i in picks] + [[field.zero()] * ncols]
-    return [rows[i] for i in draw(st.permutations(range(len(rows))))]
+from oracle import (FIELDS, dense_sum, entries, matrices, outcome, raw, reference_rref, reference_solve_consistent,
+                    reference_solve_square)
 
 
 def wide_01_rows(field, rng, nrows, ncols):
@@ -163,7 +73,7 @@ def test_solve_consistent_matches_reference(field, data):
     # A right-hand side inside the column space is always consistent.
     xs = [Scalar(field, c) for c in data.draw(
         st.lists(entries(field), min_size=len(a[0]), max_size=len(a[0])))]
-    inside = [sum((r[k] * xs[k] for k in range(len(xs))), field.zero()) for r in a]
+    inside = list(dense_sum(field, len(a), zip(xs, zip(*a))))
     assert assert_solve_matches(field, a, inside)
 
 

@@ -3,20 +3,19 @@
 `sym_span_chain`, `algebraic_degree` and `_adapted_basis` grow one span
 with `Subspace.insert`, and `sym_span_in`, `sym_span_chain` and
 `uniform_nil_index` share one first-letter level walk, which pushes each
-nonzero value into the profiles above it.  The references below are the
-versions they replaced: each added vector re-eliminates the whole basis
-through `contains` and `+ Subspace(...)`, each function runs its own level
-loop with its own exit, and each level is pulled, every profile of the
-degree summing the products of its parents.  Both sides must give the
-same whole results on seeded tuples in every builtin over Q, GF(2), GF(3),
-GF(5) and GF(101), and the same adapted bases on rebased and corrupted
-filtrations.
+nonzero value into the profiles above it.  The references, in
+tests/oracle.py, are the versions they replaced: each added vector
+re-eliminates the whole basis through `contains` and `+ Subspace(...)`,
+each function runs its own level loop with its own exit, and each level
+is pulled, every profile of the degree summing the products of its
+parents.  Both sides must give the same whole results on seeded tuples
+in every builtin over Q, GF(2), GF(3), GF(5) and GF(101), and the same
+adapted bases on rebased and corrupted filtrations.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 import pytest
 
@@ -29,141 +28,12 @@ from ordsym.algebra import (
 )
 from ordsym.catalog import builtin_example, builtin_names
 from ordsym.fields import Field, read_sparse
-from ordsym.freealg import multidegrees
 from ordsym.graded import _adapted_basis
-from ordsym.linalg import Subspace
-from test_validate_reference import corrupt_stages, rebased
+from oracle import (SIZES, corrupt_stages, outcome, pull_levels, rebased, reference_adapted_basis,
+                    reference_algebraic_degree, reference_sym_span_chain, reference_sym_span_in,
+                    reference_uniform_nil_index)
 
 FIELDS = [Field("Q"), Field("GF", 2), Field("GF", 3), Field("GF", 5), Field("GF", 101)]
-SIZES = {"upper-triangular": 3, "strictly-upper-triangular": 4,
-         "truncated-polynomial": 4, "exterior-algebra": 3}
-
-
-def reference_first_level(elts):
-    m = len(elts)
-    return {tuple(1 if t == j else 0 for t in range(m)): elts[j] for j in range(m)}
-
-
-def reference_level_values(elts, level, total):
-    """The pull step: every profile of degree total sums a_j * s[profile - e_j]
-    over its nonzero parents; a profile with no nonzero product gets zero."""
-    m = len(elts)
-    zero = elts[0].algebra.zero_element()
-    live = {md: v for md, v in level.items() if not v.is_zero()}
-    nxt = {}
-    for md in multidegrees(total, m):
-        acc = None
-        for j in range(m):
-            if md[j]:
-                parent = live.get(tuple(md[t] - (1 if t == j else 0) for t in range(m)))
-                if parent is None:
-                    continue
-                term = elts[j] * parent
-                if not term.is_zero():
-                    acc = term if acc is None else acc + term
-        nxt[md] = zero if acc is None else acc
-    return nxt
-
-
-def reference_sym_span_in(elts, n: int) -> Subspace:
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    if not elts:
-        raise ValueError("need at least one element")
-    algebra = elts[0].algebra
-    level = reference_first_level(elts)
-    for total in range(2, n + 1):
-        if all(v.is_zero() for v in level.values()):
-            return Subspace.zero(algebra.field, algebra.dim)
-        level = reference_level_values(elts, level, total)
-    return Subspace(algebra.field, algebra.dim, [v.coords for v in level.values()])
-
-
-def reference_sym_span_chain(elts, include_degree_zero=False, stop_at_plateau=True, max_degree=None):
-    """(growth, cumulative, stabilized_at) with the cumulative span rebuilt every degree."""
-    if not elts:
-        raise ValueError("need at least one element")
-    algebra = elts[0].algebra
-    cap = algebra.dim if max_degree is None else max_degree
-    cap = max(cap, 1)
-    vectors = []
-    if include_degree_zero:
-        if not algebra.is_unital:
-            raise ValueError("degree-zero component needs a unital algebra")
-        vectors.append(algebra.unit)
-    cum = Subspace(algebra.field, algebra.dim, vectors)
-    growth: list[int] = []
-    stabilized_at: Optional[int] = None
-    level = reference_first_level(elts)
-    total = 1
-    while total <= cap:
-        before = cum.dim
-        cum = cum + Subspace(algebra.field, algebra.dim, [v.coords for v in level.values()])
-        growth.append(cum.dim - before)
-        if growth[-1] == 0 and stabilized_at is None:
-            stabilized_at = total
-            if stop_at_plateau:
-                break
-        if cum.dim == algebra.dim and total < cap:
-            if stabilized_at is None:
-                stabilized_at = total + 1
-            if stop_at_plateau:
-                growth.append(0)
-            else:
-                growth.extend([0] * (cap - total))
-            break
-        total += 1
-        if total <= cap:
-            if all(v.is_zero() for v in level.values()):
-                growth.extend([0] * (cap - total + 1))
-                break
-            level = reference_level_values(elts, level, total)
-    return growth, cum, stabilized_at
-
-
-def reference_uniform_nil_index(elts, cutoff=None):
-    if not elts:
-        raise ValueError("need at least one element")
-    algebra = elts[0].algebra
-    cap = algebra.dim + 1 if cutoff is None else cutoff
-    for e in elts:
-        if e.nil_index(cap) is None:
-            return None
-    level = reference_first_level(elts)
-    for n in range(1, cap + 1):
-        if all(v.is_zero() for v in level.values()):
-            return n
-        if n < cap:
-            level = reference_level_values(elts, level, n + 1)
-    return None
-
-
-def reference_algebraic_degree(a, unital=False) -> int:
-    algebra = a.algebra
-    seed = [algebra.unit_element().coords] if unital else []
-    spanned = Subspace(algebra.field, algebra.dim, seed)
-    p = a
-    for d in range(1, algebra.dim + 3):
-        if spanned.contains(p.coords):
-            return d
-        spanned = spanned + Subspace(algebra.field, algebra.dim, [p.coords])
-        p = p * a
-    raise RuntimeError("unreachable: powers span a bounded space")
-
-
-def reference_adapted_basis(algebra, stages):
-    adapted = []
-    component_dims = []
-    grown = Subspace.zero(algebra.field, algebra.dim)
-    for p, stage in enumerate(stages):
-        added = 0
-        for row in stage.rows:
-            if not grown.contains(row):
-                adapted.append((p, row))
-                grown = grown + Subspace(algebra.field, algebra.dim, [row])
-                added += 1
-        component_dims.append(added)
-    return adapted, component_dims
 
 
 def seeded_tuples(name: str, algebra, rng: random.Random):
@@ -178,14 +48,6 @@ def seeded_tuples(name: str, algebra, rng: random.Random):
         yield [algebra.basis_element(i) for i in rng.sample(range(algebra.dim), m)]
     if name == "truncated-polynomial":
         yield [algebra.basis_element(2), algebra.basis_element(1)]
-
-
-def outcome(call):
-    """A call's result, or the message of the ValueError it raised."""
-    try:
-        return call()
-    except ValueError as e:
-        return f"ValueError: {e}"
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -256,14 +118,15 @@ def test_push_walk_matches_pull_levels(field):
             if any(e.is_zero() for e in elts):
                 seen.add("zero element")
             pushed = _nonzero_levels(elts)
-            pulled = reference_first_level(elts)
+            levels = pull_levels(elts)
+            pulled = next(levels)
             for degree in range(1, algebra.dim + 3):
                 nonzero = {md: v for md, v in pulled.items() if not v.is_zero()}
                 assert next(pushed, {}) == nonzero, (name, degree)
                 if not nonzero:
                     seen.add("walk ends")
                     break
-                pulled = reference_level_values(elts, pulled, degree + 1)
+                pulled = next(levels)
                 for md, v in nonzero.items():
                     for j, a in enumerate(elts):
                         child = (*md[:j], md[j] + 1, *md[j + 1:])
