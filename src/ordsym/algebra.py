@@ -19,6 +19,10 @@ pushes each nonzero value of a level into the profiles above it, so a
 level holds only its nonzero values, and the walk ends at the first empty
 level.
 
+Only sym_values reads the free algebra (for the order of its profiles),
+and it imports freealg when called; evaluate names FreePoly in its
+annotation alone.  So no command that reads an algebra loads freealg.
+
 An algebra stores its structure constants once, as sparse raw rows, and
 an element its coordinates, as sparse raw values {index: raw} (see
 fields); mul, unit and coords are views that wrap them into Scalars on
@@ -35,12 +39,14 @@ import random
 from fractions import Fraction
 from itertools import islice, product
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .fields import Field, Scalar, dense_scalars, raw_value, read_sparse
-from .freealg import FreePoly, multidegrees
 from .io import InvalidAlgebraError
 from .linalg import Subspace, combine
+
+if TYPE_CHECKING:
+    from .freealg import FreePoly
 
 __all__ = [
     "ValidationReport",
@@ -375,6 +381,8 @@ def sym_values(elts: Sequence[AlgElement], max_total: int) -> dict[tuple[int, ..
     polynomial in the degree.  Every profile is returned, degree by degree
     in multidegrees order, the ones the walk leaves out as zero.
     """
+    from .freealg import multidegrees
+
     levels = _nonzero_levels(elts)
     zero = elts[0].algebra.zero_element()
     vals: dict[tuple[int, ...], AlgElement] = {}

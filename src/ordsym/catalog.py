@@ -1,8 +1,14 @@
 """Built-in filtered algebras for desk-scale checks.
 
-Each builder returns a validated (StructureAlgebra, Filtration) pair, and
-every stage of every builtin filtration is spanned by a prefix of the
-coordinate vectors:
+Each builder returns a validated StructureAlgebra and the stage counts of
+its filtration: every stage of every builtin filtration is spanned by a
+prefix of the coordinate vectors.  builtin_example turns the counts into
+a validated Filtration, and imports graded only then; the commands that
+read a filtration (check-filtration, gr, verify-my1 and the Rees
+commands) load builtins through it.  builtin_algebra stops at the
+algebra: nil-index, alg-degree and alg-bound read no filtration, so on a
+builtin they load catalog, algebra, linalg and fields, and neither graded
+nor freealg.
 
 - upper-triangular n: all upper-triangular n x n matrix units, filtered by
   band width (diagonal first); unital.
@@ -19,18 +25,24 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .algebra import StructureAlgebra
 from .fields import QQ, Field
-from .graded import Filtration
-from .linalg import Subspace
 
-__all__ = ["builtin_example", "builtin_names", "matrix_unit_algebra"]
+if TYPE_CHECKING:
+    from .graded import Filtration
+
+__all__ = ["builtin_algebra", "builtin_example", "builtin_names", "matrix_unit_algebra"]
+
+Built = tuple[StructureAlgebra, list[int]]
 
 
 def _prefix_filtration(algebra: StructureAlgebra, counts: list[int]) -> Filtration:
     """The filtration whose stage i is spanned by the first counts[i] coordinate vectors."""
+    from .graded import Filtration
+    from .linalg import Subspace
+
     field, dim = algebra.field, algebra.dim
     return Filtration(algebra, [Subspace.from_raw(field, dim, ({k: 1} for k in range(c))) for c in counts])
 
@@ -63,7 +75,7 @@ def matrix_unit_algebra(
     return StructureAlgebra(field, names, mul, unit=unit)
 
 
-def _triangular(n: int, field: Field, strict: bool) -> tuple[StructureAlgebra, Filtration]:
+def _triangular(n: int, field: Field, strict: bool) -> Built:
     """Matrix units on the bands from `strict` up, band by band; stage i holds bands up to i."""
     if n < 1 + strict:
         raise ValueError(
@@ -71,11 +83,10 @@ def _triangular(n: int, field: Field, strict: bool) -> tuple[StructureAlgebra, F
         )
     positions = [(i, i + band) for band in range(strict, n) for i in range(1, n - band + 1)]
     algebra = matrix_unit_algebra(field, positions, unital=not strict)
-    counts = [sum(n - band for band in range(strict, i + 1)) for i in range(n)]
-    return algebra, _prefix_filtration(algebra, counts)
+    return algebra, [sum(n - band for band in range(strict, i + 1)) for i in range(n)]
 
 
-def _truncated_polynomial(n: int, field: Field) -> tuple[StructureAlgebra, Filtration]:
+def _truncated_polynomial(n: int, field: Field) -> Built:
     if n < 1:
         raise ValueError("truncation order must be >= 1")
     names = ["1"] + [f"t^{i}" if i > 1 else "t" for i in range(1, n)]
@@ -87,10 +98,10 @@ def _truncated_polynomial(n: int, field: Field) -> tuple[StructureAlgebra, Filtr
     }
     unit = [1] + [0] * (n - 1)
     algebra = StructureAlgebra(field, names, mul, unit=unit)
-    return algebra, _prefix_filtration(algebra, list(range(1, n + 1)))
+    return algebra, list(range(1, n + 1))
 
 
-def _exterior_algebra(g: int, field: Field) -> tuple[StructureAlgebra, Filtration]:
+def _exterior_algebra(g: int, field: Field) -> Built:
     if g < 1:
         raise ValueError("need at least one generator")
     subsets = [s for k in range(g + 1) for s in combinations(range(1, g + 1), k)]
@@ -111,11 +122,10 @@ def _exterior_algebra(g: int, field: Field) -> tuple[StructureAlgebra, Filtratio
     unit = [1] + [0] * (len(subsets) - 1)
     algebra = StructureAlgebra(field, names, mul, unit=unit)
     # subsets run by size, so the words of length <= size are a prefix
-    counts = [sum(len(s) <= size for s in subsets) for size in range(g + 1)]
-    return algebra, _prefix_filtration(algebra, counts)
+    return algebra, [sum(len(s) <= size for s in subsets) for size in range(g + 1)]
 
 
-_BUILDERS: dict[str, Callable[[int, Field], tuple[StructureAlgebra, Filtration]]] = {
+_BUILDERS: dict[str, Callable[[int, Field], Built]] = {
     "upper-triangular": partial(_triangular, strict=False),
     "strictly-upper-triangular": partial(_triangular, strict=True),
     "truncated-polynomial": _truncated_polynomial,
@@ -127,8 +137,7 @@ def builtin_names() -> list[str]:
     return sorted(_BUILDERS)
 
 
-def builtin_example(name: str, param: int, field: Field = QQ) -> tuple[StructureAlgebra, Filtration]:
-    """A validated builtin algebra/filtration pair by name and size parameter."""
+def _build(name: str, param: int, field: Field) -> Built:
     try:
         builder = _BUILDERS[name]
     except KeyError:
@@ -136,3 +145,14 @@ def builtin_example(name: str, param: int, field: Field = QQ) -> tuple[Structure
             f"unknown builtin {name!r}; available: {', '.join(builtin_names())}"
         ) from None
     return builder(param, field)
+
+
+def builtin_algebra(name: str, param: int, field: Field = QQ) -> StructureAlgebra:
+    """The validated builtin algebra by name and size parameter, without its filtration."""
+    return _build(name, param, field)[0]
+
+
+def builtin_example(name: str, param: int, field: Field = QQ) -> tuple[StructureAlgebra, Filtration]:
+    """A validated builtin algebra/filtration pair by name and size parameter."""
+    algebra, counts = _build(name, param, field)
+    return algebra, _prefix_filtration(algebra, counts)

@@ -6,8 +6,17 @@ Reports are single JSON documents with a fixed key order; identical
 trailing timing field.
 
 A check starts as a fresh process, so each command imports only the
-modules it runs, inside its cmd_* function: span-dim and sym-poly never
-load an algebra, and only the Rees commands load rees.
+modules it runs, inside its cmd_* function.  Every command loads cli, io
+and fields; then
+
+- span-dim and sym-poly load freealg and linalg, and no algebra;
+- nil-index, alg-degree and alg-bound load algebra and linalg (and catalog
+  on --builtin), but not graded on --builtin, since they read no
+  filtration;
+- check-filtration, gr and verify-my1 load graded too;
+- only rees-integrality and iso-check load rees.
+
+No command that reads an algebra loads freealg.
 """
 
 from __future__ import annotations
@@ -68,8 +77,9 @@ def _load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Option
 
     The only place CLI input is validated: builtins are validated when they
     are built, a description file's algebra here, and its filtration here
-    too when the command needs one (it comes back as None otherwise).  A
-    broken law raises CheckFailure.
+    too when the command needs one.  Otherwise the filtration comes back as
+    None, and a builtin builds none (catalog.builtin_algebra), so graded
+    stays unloaded.  A broken law raises CheckFailure.
     """
     override = field_make(args.field) if getattr(args, "field", None) else None
     if getattr(args, "builtin", None):
@@ -80,13 +90,14 @@ def _load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Option
             size = int(param)
         except ValueError:
             raise InputError(f"builtin parameter must be an integer, got {param!r}") from None
-        from .catalog import builtin_example
+        from . import catalog
 
         try:
-            algebra, filtration = builtin_example(name, size, override or QQ)
+            if need_filtration:
+                return catalog.builtin_example(name, size, override or QQ)
+            return catalog.builtin_algebra(name, size, override or QQ), None
         except ValueError as e:
             raise InputError(str(e)) from None
-        return algebra, filtration
     if getattr(args, "input", None):
         algebra, filtration = load_path(args.input, field_override=override)
         report = algebra.validate()

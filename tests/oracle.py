@@ -9,8 +9,9 @@ elimination, the pull walk, all-pairs validation and word-by-word
 evaluation.  No reference calls a raw kernel it checks (`combine`,
 `products`, `insert_raw`, `reduce_raw`, `_nonzero_levels`,
 `_level_values`).  The one raw kernel called here is `linalg.combine`,
-inside the dense `combine` adapter at the end: that adapter is the kernel
-under test with dense input and output, and no reference uses it.
+inside the `combine` adapter at the end: that adapter is the kernel under
+test with dense input, and it returns the kernel's sparse raw row as is,
+so a suite sees each raw value the kernel made; no reference uses it.
 
 pytest does not collect this module; the suites import from it by name.
 """
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 from ordsym import linalg
 from ordsym.algebra import StructureAlgebra, ValidationReport, evaluate
 from ordsym.catalog import builtin_example
-from ordsym.fields import QQ, Field, Scalar, dense_scalars, raw_value, read_sparse
+from ordsym.fields import QQ, Field, Scalar, raw_value, read_sparse
 from ordsym.freealg import FreePoly, multidegrees, sym_poly
 from ordsym.graded import HomogeneityReport, associated_graded
 from ordsym.linalg import Subspace, invert_matrix
@@ -51,6 +52,16 @@ def raw(rows):
     """Rows as (field, value type, value) triples: Scalar equality alone
     would not tell an int from a whole Fraction over Q."""
     return [[(x.field, type(x.value), x.value) for x in r] for r in rows]
+
+
+def raw_row(v):
+    """A sparse raw row, or a dense vector of Scalars, as {index: (value type, value)}.
+
+    A dense vector keeps its nonzero entries only, and a sparse row every
+    entry, so a zero the kernel kept shows up too.
+    """
+    items = v.items() if isinstance(v, dict) else ((k, x.value) for k, x in enumerate(v) if x)
+    return {k: (type(x), x) for k, x in items}
 
 
 def outcome(call):
@@ -574,17 +585,17 @@ def power_membership_reference(a, n):
     return PowerMembership(ok=ok, exponent=exponent, least_exponent=least, witness=witness)
 
 
-# --- the kernel under test, densely
+# --- the kernel under test, on dense input
 def combine(field, ambient, terms):
     """linalg.combine on dense vectors: (coefficient, vector) pairs of field elements.
 
-    Each coefficient and entry is read through the field check, a vector of
-    the wrong length raises ValueError, and the sparse sum is wrapped back
-    into Scalars.
+    Each coefficient and entry is read through the field check, and a
+    vector of the wrong length raises ValueError.  The sparse raw row the
+    kernel returns comes back unwrapped, so its raw values are read as made.
     """
     rows = []
     for c, v in terms:
         if len(v) != ambient:
             raise ValueError("vector length != ambient dimension")
         rows.append((raw_value(field, c), read_sparse(field, v)))
-    return dense_scalars(field, ambient, linalg.combine(field, rows))
+    return linalg.combine(field, rows)

@@ -50,15 +50,23 @@ def test_word_commands_load_no_algebra(argv):
     assert not loaded & (ALGEBRA_MODULES | {"dataclasses"})
 
 
-@pytest.mark.parametrize("command", ["gr", "nil-index", "verify-my1", "alg-bound", "check-filtration"])
+@pytest.mark.parametrize("command", ["gr", "nil-index", "alg-degree", "verify-my1", "alg-bound", "check-filtration"])
 def test_algebra_commands_load_no_rees(command):
     loaded = loaded_by(command, "--builtin", "upper-triangular:3")
     assert {"ordsym.algebra", "ordsym.catalog"} <= loaded
-    assert not loaded & {"ordsym.rees", "dataclasses"}
+    assert not loaded & {"ordsym.rees", "ordsym.freealg", "dataclasses"}
 
 
 @pytest.mark.parametrize("command", ["rees-integrality", "iso-check"])
 def test_rees_commands_load_rees_without_dataclasses(command):
     loaded = loaded_by(command, "--builtin", "upper-triangular:3")
     assert "ordsym.rees" in loaded
-    assert "dataclasses" not in loaded
+    assert not loaded & {"ordsym.freealg", "dataclasses"}
+
+
+@pytest.mark.parametrize("command", ["nil-index", "alg-degree", "alg-bound"])
+def test_builtin_without_filtration_loads_no_graded(command):
+    """These commands read no filtration, so a builtin's is never built."""
+    loaded = loaded_by(command, "--builtin", "upper-triangular:3")
+    assert {"ordsym.algebra", "ordsym.catalog", "ordsym.linalg"} <= loaded
+    assert not loaded & {"ordsym.graded", "ordsym.freealg"}

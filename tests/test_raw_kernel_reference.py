@@ -7,7 +7,8 @@ c * v over (coefficient, sparse raw row) pairs, and `Subspace.reduce`,
 form a Subspace stores; `rows` wraps it when read.  The references, in
 tests/oracle.py, are the versions they replaced, which ran every cell
 through Scalar arithmetic; the oracle's one dense sum checks `combine`
-(through the oracle's dense adapter), the `AlgElement` sum, difference,
+(through the oracle's adapter, which reads dense vectors and returns the
+kernel's raw row unwrapped), the `AlgElement` sum, difference,
 negation and scalar multiple, and the adapted coordinates of the
 associated graded algebra (a transposed inverse times the vector).
 Over Q, GF(2), GF(7) and GF(101), both must give the same products,
@@ -29,7 +30,7 @@ from ordsym.catalog import builtin_example
 from ordsym.fields import QQ, Field, Scalar
 from ordsym.graded import Filtration, associated_graded
 from ordsym.linalg import Subspace, invert_matrix
-from oracle import (FIELDS, algebras, combine, dense_sum, entries, matrices, raw, reference_multiply_coords,
+from oracle import (FIELDS, algebras, combine, dense_sum, entries, matrices, raw, raw_row, reference_multiply_coords,
                     reference_reduce, reference_rref, sparse_vectors, vectors)
 
 
@@ -159,7 +160,7 @@ def test_combine_matches_reference(field, data):
     n, terms = data.draw(combine_terms(field))
     got = combine(field, n, terms)
     expected = dense_sum(field, n, terms)
-    assert raw([got]) == raw([expected])
+    assert raw_row(got) == raw_row(expected)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -210,9 +211,9 @@ def test_adapted_coordinates_match_reference(field, data):
 def test_combine_reads_through_the_field_check(field):
     foreign = Field("GF", 5) if field == QQ else QQ
     v = (Scalar(field, 1), Scalar(field, 2), Scalar(field, 0))
-    assert raw([combine(field, 3, [(Fraction(1, 2), [2, Fraction(1, 2), 3]), (3, v)])]) == raw(
-        [dense_sum(field, 3, [(Fraction(1, 2), [2, Fraction(1, 2), 3]), (3, v)])])
-    assert combine(field, 3, []) == (field.zero(),) * 3
+    assert raw_row(combine(field, 3, [(Fraction(1, 2), [2, Fraction(1, 2), 3]), (3, v)])) == raw_row(
+        dense_sum(field, 3, [(Fraction(1, 2), [2, Fraction(1, 2), 3]), (3, v)]))
+    assert combine(field, 3, []) == {}
     for terms in ([(Scalar(foreign, 2), v)], [(1, (Scalar(foreign, 1), *v[1:]))], [(1, (Scalar(foreign, 0), *v[1:]))]):
         with pytest.raises(ValueError):
             combine(field, 3, terms)
