@@ -556,8 +556,11 @@ def uniform_nil_index(elts: Sequence[AlgElement], cutoff: Optional[int] = None) 
     return nonzero + 1 if nonzero < cap else None
 
 
+BRUTE_FORCE_BUDGET = 200_000  # most coefficient tuples brute_force_nil_index enumerates
+
+
 def brute_force_nil_index(
-    elts: Sequence[AlgElement], budget: int = 200_000
+    elts: Sequence[AlgElement], budget: int = BRUTE_FORCE_BUDGET
 ) -> Optional[int]:
     """Exhaustive oracle: max nilpotence index over every field combination.
 

@@ -1,6 +1,7 @@
 """Command-line harness: load or generate an algebra, run one check, emit JSON.
 
-Exit codes: 0 = check passed, 1 = check failed, 2 = malformed input.
+Exit codes: 0 = check passed, 1 = check failed, 2 = malformed input; main
+alone tells 1 (CheckFailure or a broken law) from 2 (other ValueErrors).
 Reports are single JSON documents with a fixed key order; identical
 (input, seed) pairs reproduce byte-identical reports apart from the
 trailing timing field.
@@ -11,8 +12,7 @@ and fields; then
 
 - span-dim and sym-poly load freealg and linalg, and no algebra;
 - nil-index, alg-degree and alg-bound load algebra and linalg (and catalog
-  on --builtin), but not graded on --builtin, since they read no
-  filtration;
+  on --builtin), but not graded, since they read no filtration;
 - check-filtration, gr and verify-my1 load graded too;
 - only rees-integrality and iso-check load rees.
 
@@ -27,8 +27,8 @@ import sys
 import time
 from typing import TYPE_CHECKING, Optional
 
-from .fields import QQ, Scalar, field_make, raw_from_json, raw_to_json, scalar_to_json
-from .io import InputError, InvalidAlgebraError, InvalidFiltrationError, load_path
+from .fields import QQ, Scalar, field_make, raw_to_json, scalar_to_json
+from .io import InputError, InvalidAlgebraError, InvalidFiltrationError, load_path, read_vector
 
 if TYPE_CHECKING:
     from .algebra import StructureAlgebra, ValidationReport
@@ -46,11 +46,11 @@ class CheckFailure(Exception):
 
 
 class FiltrationFailure(CheckFailure):
-    """A description file's filtration broke a law; keeps it for check-filtration."""
+    """A description file's filtration broke a law; keeps its stage dims and report for check-filtration."""
 
-    def __init__(self, filtration: Filtration, report: ValidationReport):
+    def __init__(self, stage_dims: list[int], report: ValidationReport):
         super().__init__({"filtration_valid": False, "detail": report.describe()})
-        self.filtration = filtration
+        self.stage_dims = stage_dims
         self.report = report
 
 
@@ -76,10 +76,10 @@ def _load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Option
     """The validated (algebra, filtration) of --builtin or --input.
 
     The only place CLI input is validated: builtins are validated when they
-    are built, a description file's algebra here, and its filtration here
-    too when the command needs one.  Otherwise the filtration comes back as
-    None, and a builtin builds none (catalog.builtin_algebra), so graded
-    stays unloaded.  A broken law raises CheckFailure.
+    are built, a description file's algebra here, and its chain of stages
+    here too, as a Filtration, when the command needs one.  Otherwise no
+    filtration is built and graded stays unloaded.  A broken law raises
+    CheckFailure.
     """
     override = field_make(args.field) if getattr(args, "field", None) else None
     if getattr(args, "builtin", None):
@@ -92,46 +92,44 @@ def _load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Option
             raise InputError(f"builtin parameter must be an integer, got {param!r}") from None
         from . import catalog
 
-        try:
-            if need_filtration:
-                return catalog.builtin_example(name, size, override or QQ)
-            return catalog.builtin_algebra(name, size, override or QQ), None
-        except ValueError as e:
-            raise InputError(str(e)) from None
+        if need_filtration:
+            return catalog.builtin_example(name, size, override or QQ)
+        return catalog.builtin_algebra(name, size, override or QQ), None
     if getattr(args, "input", None):
-        algebra, filtration = load_path(args.input, field_override=override)
+        algebra, chain = load_path(args.input, field_override=override)
         report = algebra.validate()
         if not report.ok:
             raise CheckFailure({"algebra_valid": False, "detail": report.describe()})
         if not need_filtration:
             return algebra, None
-        if filtration is None:
+        if chain is None:
             raise InputError("this command needs a filtration in the description")
         from .graded import Filtration
 
         try:
-            return algebra, Filtration(algebra, filtration.stages)
+            return algebra, Filtration(algebra, chain.stages)
         except InvalidFiltrationError as e:
-            raise FiltrationFailure(filtration, e.report) from None
+            raise FiltrationFailure([s.dim for s in chain.stages], e.report) from None
     raise InputError("need --input FILE or --builtin NAME:PARAM")
+
+
+def _vectors(flag: str, text: str, algebra: StructureAlgebra, expects: str, nonempty: bool = False) -> list:
+    """The raw coordinate vectors of a JSON list flag, each read by io.read_vector."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"{flag}: {e.msg}") from None
+    if not isinstance(data, list) or (nonempty and not data):
+        raise InputError(f"{flag} expects {expects}")
+    return [read_vector(algebra.field, algebra.dim, vec, f"{flag}[{i}]") for i, vec in enumerate(data)]
 
 
 def _parse_elements(args, algebra: StructureAlgebra):
     raw = getattr(args, "elements", None)
     if raw is None:
         return algebra.basis_elements()
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise InputError(f"--elements: {e.msg}") from None
-    if not isinstance(data, list) or not data:
-        raise InputError("--elements expects a nonempty JSON list of vectors")
-    out = []
-    for i, vec in enumerate(data):
-        if not isinstance(vec, list) or len(vec) != algebra.dim:
-            raise InputError(f"--elements[{i}]: expected a vector of length {algebra.dim}")
-        out.append(algebra.element([raw_from_json(algebra.field, c) for c in vec]))
-    return out
+    vectors = _vectors("--elements", raw, algebra, "a nonempty JSON list of vectors", nonempty=True)
+    return [algebra.element(vec) for vec in vectors]
 
 
 def cmd_sym_poly(args):
@@ -182,7 +180,7 @@ def cmd_span_dim(args):
 
 
 def cmd_nil_index(args):
-    from .algebra import brute_force_nil_index, uniform_nil_index
+    from .algebra import BRUTE_FORCE_BUDGET, brute_force_nil_index, uniform_nil_index
 
     if args.nmax is not None and args.nmax < 1:
         raise InputError("--nmax must be >= 1")
@@ -194,7 +192,7 @@ def cmd_nil_index(args):
         index is not None and algebra.field.p >= index + 1
     )
     brute = None
-    if algebra.field.is_finite and algebra.field.p ** len(elts) <= 200_000:
+    if algebra.field.is_finite and algebra.field.p ** len(elts) <= BRUTE_FORCE_BUDGET:
         brute = brute_force_nil_index(elts)
     results = {
         "index": index,
@@ -245,14 +243,15 @@ def cmd_check_filtration(args):
     try:
         _, filtration = _load(args, need_filtration=True)
         freport = ValidationReport(True)
+        stage_dims = filtration.dims()
     except FiltrationFailure as fail:
-        filtration, freport = fail.filtration, fail.report
+        stage_dims, freport = fail.stage_dims, fail.report
     results = {
         "algebra_valid": True,
         "algebra_detail": "ok",
         "filtration_valid": freport.ok,
         "filtration_detail": freport.describe(),
-        "stage_dims": filtration.dims(),
+        "stage_dims": stage_dims,
     }
     if not freport.ok:
         raise CheckFailure(results, [_ser_failure(fail) for fail in freport.failures])
@@ -280,12 +279,9 @@ def cmd_verify_my1(args):
     if args.samples < 0:
         raise InputError("--samples must be >= 0")
     _, filtration = _load(args, need_filtration=True)
-    try:
-        outcome = verify_graded_nil_index(
-            filtration, p=args.p, q=args.q, d=args.d, samples=args.samples, seed=args.seed
-        )
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    outcome = verify_graded_nil_index(
+        filtration, p=args.p, q=args.q, d=args.d, samples=args.samples, seed=args.seed
+    )
     params = {
         "p": outcome.p,
         "q": outcome.q,
@@ -330,21 +326,8 @@ def cmd_rees_integrality(args):
 
     algebra, filtration = _load(args, need_filtration=True)
     if args.coeffs:
-        try:
-            data = json.loads(args.coeffs)
-        except json.JSONDecodeError as e:
-            raise InputError(f"--coeffs: {e.msg}") from None
-        if not isinstance(data, list):
-            raise InputError("--coeffs expects a JSON list of coefficient vectors")
-        vectors = []
-        for i, vec in enumerate(data):
-            if not isinstance(vec, list) or len(vec) != algebra.dim:
-                raise InputError(f"--coeffs[{i}]: expected a vector of length {algebra.dim}")
-            vectors.append([raw_from_json(algebra.field, c) for c in vec])
-        try:
-            element = ReesElement.make(filtration, vectors)
-        except ValueError as e:
-            raise InputError(str(e)) from None
+        vectors = _vectors("--coeffs", args.coeffs, algebra, "a JSON list of coefficient vectors")
+        element = ReesElement.make(filtration, vectors)
     else:
         element = _default_rees_element(filtration, args.seed)
     witness = integral_witness(element, n_max=args.nmax, deg_max=args.degmax)

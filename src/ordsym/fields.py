@@ -311,6 +311,8 @@ def raw_from_json(field: Field, raw):
         return raw_value(field, raw if isinstance(raw, int) else Fraction(raw))
     except ZeroDivisionError:
         raise ValueError(f"bad scalar {raw!r}: zero denominator in {field}") from None
+    except ValueError:
+        raise ValueError(f"bad scalar {raw!r}") from None
 
 
 def scalar_from_json(field: Field, raw) -> Scalar:

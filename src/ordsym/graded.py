@@ -2,14 +2,16 @@
 
 A filtration is a nested chain F_0 <= F_1 <= ... <= F_t of subspaces with
 F_t the whole algebra and F_i * F_j <= F_{i+j} (indices clamp at t, which
-is harmless because F_t absorbs).  The associated graded algebra is
-realized concretely: an adapted basis is grown greedily through the chain,
-every product of adapted representatives is rewritten in adapted
-coordinates (one linalg.times by the inverse of the adapted basis),
-and the component of top weight is kept.  The result is a StructureAlgebra
-in its own right and passes the same validation as any other algebra.  All
-of it runs on sparse raw vectors, stored once: GradedAlgebra.adapted, the
-adapted basis as Scalars, is a view wrapped on first read.
+is harmless because F_t absorbs).  A Filtration is always a validated
+one: io.Chain, a description's stages as read, becomes one only through
+the constructor.  The associated graded algebra is realized concretely:
+an adapted basis is grown greedily through the chain, every product of
+adapted representatives is rewritten in adapted coordinates (one
+linalg.times by the inverse of the adapted basis), and the component of
+top weight is kept.  The result is a StructureAlgebra in its own right
+and passes the same validation as any other algebra.  All of it runs on
+sparse raw vectors, stored once: GradedAlgebra.adapted, the adapted basis
+as Scalars, is a view wrapped on first read.
 
 verify_graded_nil_index runs the whole pipeline behind the bound
 
@@ -113,21 +115,19 @@ def _adapted_basis(
 class Filtration:
     """Validated chain F_0 <= ... <= F_t with F_t the whole algebra.
 
-    Validation keeps the adapted basis it checked the laws on, so
-    associated_graded does not build it again.
+    Construction raises InvalidFiltrationError on a broken law, and keeps
+    the adapted basis it checked the laws on for associated_graded.
     """
 
     __slots__ = ("algebra", "stages", "_basis")
 
-    def __init__(self, algebra: StructureAlgebra, stages: Sequence[Subspace], check: bool = True):
+    def __init__(self, algebra: StructureAlgebra, stages: Sequence[Subspace]):
         self.algebra = algebra
         self.stages = tuple(stages)
-        self._basis = None
-        if check:
-            report = validate_filtration(algebra, self.stages)
-            if not report.ok:
-                raise InvalidFiltrationError(report)
-            self._basis = report.basis
+        report = validate_filtration(algebra, self.stages)
+        if not report.ok:
+            raise InvalidFiltrationError(report)
+        self._basis = report.basis
 
     @property
     def top(self) -> int:
@@ -236,7 +236,7 @@ def associated_graded(filtration: Filtration) -> GradedAlgebra:
     """
     base = filtration.algebra
     f = base.field
-    adapted, component_dims = filtration._basis or _adapted_basis(base, filtration.stages)
+    adapted, component_dims = filtration._basis
     degs = [deg for deg, _ in adapted]
     vectors = [vec for _, vec in adapted]
     to_adapted = inverse_rows(f, vectors)

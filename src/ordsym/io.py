@@ -13,10 +13,13 @@ Schema (1-based indices on the wire):
 
 Rational coefficients travel as "num/den" strings (plain integers allowed);
 prime-field coefficients as integers, each read once by raw_from_json into
-the raw form that is stored.  dump_description writes that stored raw
-form back through raw_to_json, so neither direction builds a Scalar.  A
-field override re-reads every constant in the requested field, so one
-fixture can exercise both Q and a small prime field.
+the raw form that is stored; read_vector reads every JSON vector,
+--elements and --coeffs too, and names a bad entry by its place.
+dump_description writes that stored raw form back through raw_to_json, so
+neither direction builds a Scalar.  A field override re-reads every
+constant in the requested field, so one fixture can exercise both Q and a
+small prime field.  A filtration comes back as a Chain of stages that no
+law has checked, so reading a description loads no graded.
 
 The error classes of the command line live here too, so that a command
 can tell a failed check from malformed input without importing the
@@ -26,15 +29,15 @@ modules that raise them; algebra and graded re-export their own.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .fields import Field, field_make, field_to_json, raw_from_json, raw_to_json
 
 if TYPE_CHECKING:
     from .algebra import StructureAlgebra, ValidationReport
-    from .graded import Filtration
+    from .linalg import Subspace
 
-__all__ = ["InputError", "load_description", "dump_description", "load_path"]
+__all__ = ["InputError", "Chain", "read_vector", "load_description", "dump_description", "load_path"]
 
 
 class InputError(ValueError):
@@ -57,18 +60,37 @@ class InvalidFiltrationError(ValueError):
         self.report = report
 
 
+class Chain(NamedTuple):
+    """A description's filtration as read: its stages, checked against no law yet."""
+
+    stages: tuple[Subspace, ...]
+
+
 def _fail(where: str, msg: str) -> None:
     raise InputError(f"{where}: {msg}")
 
 
+def _value(field: Field, raw, where: str):
+    try:
+        return raw_from_json(field, raw)
+    except ValueError as e:
+        _fail(where, str(e))
+
+
+def read_vector(field: Field, dim: int, raw, where: str) -> list:
+    """The raw values of a JSON coordinate vector of length dim; InputError names where, and which entry."""
+    if not isinstance(raw, list) or len(raw) != dim:
+        _fail(where, f"expected a vector of length {dim}")
+    return [_value(field, c, f"{where}[{i}]") for i, c in enumerate(raw)]
+
+
 def load_description(doc: dict, field_override: Optional[Field] = None):
-    """Parse a description into (StructureAlgebra, Filtration | None).
+    """Parse a description into (StructureAlgebra, Chain | None).
 
     Both come back unvalidated (schema checks only); callers decide
     whether a broken tensor or chain is a failed check or a fatal error.
     """
     from .algebra import StructureAlgebra
-    from .graded import Filtration
     from .linalg import Subspace
 
     if not isinstance(doc, dict):
@@ -86,18 +108,6 @@ def load_description(doc: dict, field_override: Optional[Field] = None):
     if not isinstance(basis, list) or len(basis) != dim:
         _fail("basis", f"expected {dim} names")
     names = [str(b) for b in basis]
-
-    def value(raw, where):
-        try:
-            return raw_from_json(field, raw)
-        except ValueError as e:
-            _fail(where, str(e))
-
-    def vector(raw, where):
-        if not isinstance(raw, list) or len(raw) != dim:
-            _fail(where, f"expected a vector of length {dim}")
-        return [value(c, f"{where}[{i}]") for i, c in enumerate(raw)]
-
     mul_rows = doc.get("mul")
     if not isinstance(mul_rows, list):
         _fail("mul", "expected a list of [i, j, products] rows")
@@ -120,17 +130,17 @@ def load_description(doc: dict, field_override: Optional[Field] = None):
             k, c = pair
             if not (isinstance(k, int) and 1 <= k <= dim):
                 _fail(f"{where}[{s}]", f"target index must be in 1..{dim}")
-            entry[k - 1] = value(c, f"{where}[{s}]")
+            entry[k - 1] = _value(field, c, f"{where}[{s}]")
         mul[(i - 1, j - 1)] = entry
     unit = None
     if doc.get("unit") is not None:
-        unit = vector(doc["unit"], "unit")
+        unit = read_vector(field, dim, doc["unit"], "unit")
     try:
         algebra = StructureAlgebra(field, names, mul, unit=unit, check=False)
     except ValueError as e:
         _fail("algebra", str(e))
 
-    filtration = None
+    chain = None
     if doc.get("filtration") is not None:
         raw_stages = doc["filtration"]
         if not isinstance(raw_stages, list) or not raw_stages:
@@ -139,14 +149,14 @@ def load_description(doc: dict, field_override: Optional[Field] = None):
         for s, vecs in enumerate(raw_stages):
             if not isinstance(vecs, list):
                 _fail(f"filtration[{s}]", "expected a list of spanning vectors")
-            rows = [vector(v, f"filtration[{s}][{r}]") for r, v in enumerate(vecs)]
+            rows = [read_vector(field, dim, v, f"filtration[{s}][{r}]") for r, v in enumerate(vecs)]
             stages.append(Subspace(field, dim, rows))
-        filtration = Filtration(algebra, stages, check=False)
-    return algebra, filtration
+        chain = Chain(tuple(stages))
+    return algebra, chain
 
 
-def dump_description(algebra: StructureAlgebra, filtration: Optional[Filtration] = None) -> dict:
-    """Serialize back to the wire schema, canonically ordered."""
+def dump_description(algebra: StructureAlgebra, filtration=None) -> dict:
+    """Serialize back to the wire schema, canonically ordered; filtration is a Filtration or a Chain."""
     doc: dict = {
         "field": field_to_json(algebra.field),
         "dim": algebra.dim,

@@ -316,3 +316,18 @@ def test_explicit_nmax_is_the_cutoff(capsys):
 def test_exit_2_on_zero_denominator(argv, capsys):
     assert main(argv) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["nil-index", "--builtin", "strictly-upper-triangular:3", "--elements", '[[1,"x",0]]'], "--elements[0][1]"),
+        (["rees-integrality", "--builtin", "truncated-polynomial:3", "--coeffs", '[[0, 0, 0], ["x", 0, 0]]'],
+         "--coeffs[1][0]"),
+    ],
+    ids=["elements", "coeffs"],
+)
+def test_a_bad_flag_entry_is_named_by_flag_and_place(argv, where, capsys):
+    """Flags are read as description files are: the entry's place, then the same wording."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: {where}: bad scalar 'x'\n"

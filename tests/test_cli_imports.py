@@ -70,3 +70,16 @@ def test_builtin_without_filtration_loads_no_graded(command):
     loaded = loaded_by(command, "--builtin", "upper-triangular:3")
     assert {"ordsym.algebra", "ordsym.catalog", "ordsym.linalg"} <= loaded
     assert not loaded & {"ordsym.graded", "ordsym.freealg"}
+
+
+@pytest.mark.parametrize("command", ["nil-index", "alg-degree", "alg-bound"])
+def test_input_without_filtration_loads_no_graded(command, tmp_path):
+    """A description's stages come back from io as a plain Chain, so no Filtration is built."""
+    from ordsym.catalog import builtin_example
+    from ordsym.io import dump_description
+
+    path = tmp_path / "upper-triangular-3.json"
+    path.write_text(json.dumps(dump_description(*builtin_example("upper-triangular", 3))))
+    loaded = loaded_by(command, "--input", str(path))
+    assert {"ordsym.algebra", "ordsym.io", "ordsym.linalg"} <= loaded
+    assert not loaded & {"ordsym.graded", "ordsym.catalog", "ordsym.freealg"}

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from ordsym.fields import (
     Field,
     distinct_scalars,
     field_make,
+    raw_from_json,
     raw_to_json,
     scalar_from_json,
     scalar_to_json,
@@ -133,6 +135,14 @@ def test_serialization_formats():
     assert raw_to_json(Field("GF", 7), 4) == 4
     assert scalar_from_json(QQ, "-2/3") == QQ.scalar(Fraction(-2, 3))
     assert scalar_from_json(QQ, 7) == QQ.scalar(7)
+
+
+@pytest.mark.parametrize("raw", ["x", "1/", "", "1.5.2", None, True, 1.5])
+def test_an_unparsable_scalar_is_a_bad_scalar(raw):
+    """Every value that names no element is worded one way, never by Fraction's parser."""
+    for field in (QQ, Field("GF", 7)):
+        with pytest.raises(ValueError, match=rf"^bad scalar {re.escape(repr(raw))}$"):
+            raw_from_json(field, raw)
 
 
 def test_pow_and_div():

@@ -180,14 +180,17 @@ def test_non_associative_description_fails_with_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("error", [InvalidAlgebraError, InvalidFiltrationError])
 def test_a_broken_law_raised_by_a_command_is_a_failed_check(error, monkeypatch, capsys):
+    """main alone classifies: a law failure raised inside any command exits 1, never as an input error."""
     def broken(filtration):
         raise error(ValidationReport(False, [{"law": "associativity", "where": (0, 0, 0)}]))
 
-    monkeypatch.setattr("ordsym.graded.associated_graded", broken)
-    assert main(["gr", "--builtin", "upper-triangular:2"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["status"] == "fail"
-    assert report["results"] == {"detail": "associativity fails at (0, 0, 0)"}
+    for command, module in [("gr", "graded"), ("verify-my1", "graded"), ("iso-check", "rees")]:
+        importlib.import_module(f"ordsym.{module}")
+        monkeypatch.setattr(f"ordsym.{module}.associated_graded", broken)
+        assert main([command, "--builtin", "upper-triangular:2"]) == 1, command
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "fail"
+        assert report["results"] == {"detail": "associativity fails at (0, 0, 0)"}
 
 
 def test_other_value_errors_are_input_errors(monkeypatch, capsys):
