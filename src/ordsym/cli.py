@@ -16,7 +16,9 @@ and fields; then
 - check-filtration, gr and verify-my1 load graded too;
 - only rees-integrality and iso-check load rees.
 
-No command that reads an algebra loads freealg.
+No command that reads an algebra loads freealg.  Each command is declared
+once, in _COMMANDS: its function, its help and its flags, which both
+build_parser and main read.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Optional
 
-from .fields import QQ, Scalar, field_make, raw_to_json, scalar_to_json
+from .fields import QQ, Field, Scalar, field_make, raw_to_json, scalar_to_json
 from .io import InputError, InvalidAlgebraError, InvalidFiltrationError, load_path, read_vector
 
 if TYPE_CHECKING:
@@ -72,6 +74,11 @@ def _parse_md(text: str) -> tuple[int, ...]:
     return md
 
 
+def _field(args) -> Field:
+    """The --field override, or Q."""
+    return field_make(args.field) if args.field else QQ
+
+
 def _load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Optional[Filtration]]:
     """The validated (algebra, filtration) of --builtin or --input.
 
@@ -81,8 +88,8 @@ def _load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Option
     filtration is built and graded stays unloaded.  A broken law raises
     CheckFailure.
     """
-    override = field_make(args.field) if getattr(args, "field", None) else None
-    if getattr(args, "builtin", None):
+    field = _field(args)
+    if args.builtin:
         name, sep, param = args.builtin.partition(":")
         if not sep:
             raise InputError(f"--builtin expects NAME:PARAM, got {args.builtin!r}")
@@ -93,10 +100,10 @@ def _load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Option
         from . import catalog
 
         if need_filtration:
-            return catalog.builtin_example(name, size, override or QQ)
-        return catalog.builtin_algebra(name, size, override or QQ), None
-    if getattr(args, "input", None):
-        algebra, chain = load_path(args.input, field_override=override)
+            return catalog.builtin_example(name, size, field)
+        return catalog.builtin_algebra(name, size, field), None
+    if args.input:
+        algebra, chain = load_path(args.input, field_override=field if args.field else None)
         report = algebra.validate()
         if not report.ok:
             raise CheckFailure({"algebra_valid": False, "detail": report.describe()})
@@ -125,17 +132,16 @@ def _vectors(flag: str, text: str, algebra: StructureAlgebra, expects: str, none
 
 
 def _parse_elements(args, algebra: StructureAlgebra):
-    raw = getattr(args, "elements", None)
-    if raw is None:
+    if args.elements is None:
         return algebra.basis_elements()
-    vectors = _vectors("--elements", raw, algebra, "a nonempty JSON list of vectors", nonempty=True)
+    vectors = _vectors("--elements", args.elements, algebra, "a nonempty JSON list of vectors", nonempty=True)
     return [algebra.element(vec) for vec in vectors]
 
 
 def cmd_sym_poly(args):
     from .freealg import monomial_count, sym_poly
 
-    field = field_make(args.field) if args.field else QQ
+    field = _field(args)
     md = _parse_md(args.md)
     poly = sym_poly(md, field)
     terms = [[list(w), raw_to_json(field, c)] for w, c in poly.raw_terms()]
@@ -148,13 +154,13 @@ def cmd_sym_poly(args):
     }
     if len(terms) != count:
         raise CheckFailure(results)
-    return "pass", {"md": list(md)}, results, None
+    return "pass", {"md": list(md)}, results
 
 
 def cmd_span_dim(args):
     from .freealg import sym_span, sym_span_dim_formula, sym_span_upto, sym_span_upto_dim_formula
 
-    field = field_make(args.field) if args.field else QQ
+    field = _field(args)
     n, m = args.n, args.m
     if n is None or m is None:
         raise InputError("span-dim needs --n and --m")
@@ -176,7 +182,7 @@ def cmd_span_dim(args):
     params = {"n": n, "m": m, "include_zero": bool(args.include_zero)}
     if space.dim != expected or cumulative.dim != cum_expected:
         raise CheckFailure(results)
-    return "pass", params, results, None
+    return "pass", params, results
 
 
 def cmd_nil_index(args):
@@ -204,7 +210,7 @@ def cmd_nil_index(args):
         raise CheckFailure(results)
     if brute is not None and two_sided and brute != index:
         raise CheckFailure(results)
-    return "pass", {"elements": len(elts)}, results, None
+    return "pass", {"elements": len(elts)}, results
 
 
 def cmd_alg_degree(args):
@@ -217,7 +223,7 @@ def cmd_alg_degree(args):
         raise InputError("--unital requires a unital algebra")
     degrees = [algebraic_degree(e, unital=unital) for e in elts]
     results = {"degrees": degrees, "unital_convention": unital}
-    return "pass", {"elements": len(elts)}, results, None
+    return "pass", {"elements": len(elts)}, results
 
 
 def cmd_alg_bound(args):
@@ -234,7 +240,7 @@ def cmd_alg_bound(args):
         "stabilized_at": bound.chain.stabilized_at,
         "sampled_degrees": bound.sampled_degrees,
     }
-    return "pass", {"elements": len(elts), "seed": args.seed}, results, None
+    return "pass", {"elements": len(elts), "seed": args.seed}, results
 
 
 def cmd_check_filtration(args):
@@ -255,7 +261,7 @@ def cmd_check_filtration(args):
     }
     if not freport.ok:
         raise CheckFailure(results, [_ser_failure(fail) for fail in freport.failures])
-    return "pass", {}, results, None
+    return "pass", {}, results
 
 
 def cmd_gr(args):
@@ -270,7 +276,7 @@ def cmd_gr(args):
         "graded_valid": True,
         "slot_degrees": graded.slot_degrees(),
     }
-    return "pass", {}, results, None
+    return "pass", {}, results
 
 
 def cmd_verify_my1(args):
@@ -301,7 +307,7 @@ def cmd_verify_my1(args):
     }
     if not outcome.ok:
         raise CheckFailure(results, outcome.failures)
-    return "pass", params, results, None
+    return "pass", params, results
 
 
 def _default_rees_element(filtration: Filtration, seed: int) -> ReesElement:
@@ -338,7 +344,7 @@ def cmd_rees_integrality(args):
         "multipliers": [repr(q) for q in witness.multipliers] if witness else None,
     }
     if witness is None:
-        return "indeterminate", {"nmax": args.nmax, "seed": args.seed}, results, None
+        return "indeterminate", {"nmax": args.nmax, "seed": args.seed}, results
     if element.is_zero() or element.coeff(0).is_zero():
         membership = integral_power_in_x_ideal(element, witness.degree)
         results["power_exponent"] = membership.exponent
@@ -346,7 +352,7 @@ def cmd_rees_integrality(args):
         results["least_power_in_x_ideal"] = membership.least_exponent
         if not membership.ok:
             raise CheckFailure(results, [membership.witness])
-    return "pass", {"nmax": args.nmax, "seed": args.seed}, results, None
+    return "pass", {"nmax": args.nmax, "seed": args.seed}, results
 
 
 def cmd_iso_check(args):
@@ -363,21 +369,7 @@ def cmd_iso_check(args):
     }
     if not report.ok:
         raise CheckFailure(results, report.failures)
-    return "pass", {"maxdeg": args.maxdeg}, results, None
-
-
-_COMMANDS = {
-    "sym-poly": cmd_sym_poly,
-    "span-dim": cmd_span_dim,
-    "nil-index": cmd_nil_index,
-    "alg-degree": cmd_alg_degree,
-    "alg-bound": cmd_alg_bound,
-    "check-filtration": cmd_check_filtration,
-    "gr": cmd_gr,
-    "verify-my1": cmd_verify_my1,
-    "rees-integrality": cmd_rees_integrality,
-    "iso-check": cmd_iso_check,
-}
+    return "pass", {"maxdeg": args.maxdeg}, results
 
 
 class _BuiltinOption(argparse.Action):
@@ -401,6 +393,52 @@ class _BuiltinOption(argparse.Action):
         """argparse.Action.__init__ stores help=None; the property above stands instead."""
 
 
+def _flag(name: str, **options) -> tuple[str, dict]:
+    """One option of a command: its name and its add_argument keywords."""
+    return name, options
+
+
+# Every command that reads an algebra ends its own flags with _SOURCE, and
+# every command takes _COMMON after them.
+_ELEMENTS = _flag("--elements", help="JSON list of coordinate vectors (default: basis)")
+_SOURCE = (_flag("--input", help="algebra description file (JSON)"), _flag("--builtin", action=_BuiltinOption))
+_COMMON = (
+    _flag("--field", help="field override: Q or GF:p"),
+    _flag("--seed", type=int, default=0, help="seed for sampled checks"),
+    _flag("--out", help="write the JSON report to a file"),
+)
+
+# name -> (function, help, its own flags in help order)
+_COMMANDS = {
+    "sym-poly": (cmd_sym_poly, "expand one order-symmetric sum",
+                 (_flag("--md", required=True, help="occurrence profile, e.g. 2,2"),)),
+    "span-dim": (cmd_span_dim, "dimension of the degree-n symmetric span",
+                 (_flag("--n", type=int), _flag("--m", type=int), _flag("--include-zero", action="store_true"))),
+    "nil-index": (cmd_nil_index, "least degree with zero symmetric span",
+                  (_ELEMENTS, _flag("--nmax", type=int, help="search cutoff (default dim+1)"), *_SOURCE)),
+    "alg-degree": (cmd_alg_degree, "per-element algebraic degree",
+                   (_ELEMENTS, _flag("--unital", action="store_true", help="allow the identity in spans"), *_SOURCE)),
+    "alg-bound": (cmd_alg_bound, "uniform algebraicity bound from the span chain", (_ELEMENTS, *_SOURCE)),
+    "check-filtration": (cmd_check_filtration, "validate algebra and filtration", _SOURCE),
+    "gr": (cmd_gr, "build the associated graded algebra", _SOURCE),
+    "verify-my1": (cmd_verify_my1, "filtered-to-graded nilpotence bound check", (
+        _flag("--p", type=int, help="lowest graded degree (default 1)"),
+        _flag("--q", type=int, help="highest graded degree (default top)"),
+        _flag("--d", type=int, help="pin the algebraic-degree bound instead of sampling"),
+        _flag("--samples", type=int, default=32),
+        *_SOURCE,
+    )),
+    "rees-integrality": (cmd_rees_integrality, "find an integrality witness and test its power", (
+        _flag("--coeffs", help="JSON list of coefficient vectors by x-degree"),
+        _flag("--nmax", type=int, default=4),
+        _flag("--degmax", type=int),
+        *_SOURCE,
+    )),
+    "iso-check": (cmd_iso_check, "compare gr(A) with the Rees quotient",
+                  (_flag("--maxdeg", type=int, default=4), *_SOURCE)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordsym",
@@ -408,60 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
         "and filtered/graded/Rees constructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, io=True):
-        if io:
-            p.add_argument("--input", help="algebra description file (JSON)")
-            p.add_argument("--builtin", action=_BuiltinOption)
-        p.add_argument("--field", help="field override: Q or GF:p")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument("--out", help="write the JSON report to a file")
-
-    p = sub.add_parser("sym-poly", help="expand one order-symmetric sum")
-    p.add_argument("--md", required=True, help="occurrence profile, e.g. 2,2")
-    common(p, io=False)
-
-    p = sub.add_parser("span-dim", help="dimension of the degree-n symmetric span")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--include-zero", action="store_true")
-    common(p, io=False)
-
-    for name, help_text in [
-        ("nil-index", "least degree with zero symmetric span"),
-        ("alg-degree", "per-element algebraic degree"),
-        ("alg-bound", "uniform algebraicity bound from the span chain"),
-    ]:
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--elements", help="JSON list of coordinate vectors (default: basis)")
-        if name == "nil-index":
-            p.add_argument("--nmax", type=int, help="search cutoff (default dim+1)")
-        if name == "alg-degree":
-            p.add_argument("--unital", action="store_true", help="allow the identity in spans")
-        common(p)
-
-    p = sub.add_parser("check-filtration", help="validate algebra and filtration")
-    common(p)
-
-    p = sub.add_parser("gr", help="build the associated graded algebra")
-    common(p)
-
-    p = sub.add_parser("verify-my1", help="filtered-to-graded nilpotence bound check")
-    p.add_argument("--p", type=int, help="lowest graded degree (default 1)")
-    p.add_argument("--q", type=int, help="highest graded degree (default top)")
-    p.add_argument("--d", type=int, help="pin the algebraic-degree bound instead of sampling")
-    p.add_argument("--samples", type=int, default=32)
-    common(p)
-
-    p = sub.add_parser("rees-integrality", help="find an integrality witness and test its power")
-    p.add_argument("--coeffs", help="JSON list of coefficient vectors by x-degree")
-    p.add_argument("--nmax", type=int, default=4)
-    p.add_argument("--degmax", type=int)
-    common(p)
-
-    p = sub.add_parser("iso-check", help="compare gr(A) with the Rees quotient")
-    p.add_argument("--maxdeg", type=int, default=4)
-    common(p)
+        for flag, options in (*flags, *_COMMON):
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -473,11 +461,10 @@ def main(argv=None) -> int:
         code = e.code if isinstance(e.code, int) else 2
         return 0 if code == 0 else 2
     start = time.perf_counter()
-    status = "pass"
-    witnesses = None
     params: dict = {}
+    witnesses = None
     try:
-        status, params, results, witnesses = _COMMANDS[args.command](args)
+        status, params, results = _COMMANDS[args.command][0](args)
     except CheckFailure as fail:
         status, results, witnesses = "fail", fail.results, fail.witnesses
     except (InvalidAlgebraError, InvalidFiltrationError) as e:

@@ -85,7 +85,7 @@ class Field:
         if kind not in ("Q", "GF"):
             raise ValueError(f"unknown field kind {kind!r}")
         if kind == "GF":
-            if p is None or p < 2:
+            if p.__class__ is not int or p < 2:
                 raise ValueError("prime-field modulus must be an integer >= 2")
             if not _is_prime(p):
                 f = _find_factor(p)
@@ -256,6 +256,8 @@ Descriptor = Union[Field, str, dict]
 def field_make(descriptor: Descriptor) -> Field:
     """Build a Field from {"kind":"Q"}, {"kind":"GF","p":7}, "Q", or "GF:7".
 
+    A dict's modulus must be a JSON integer, not a float, string or bool,
+    and a string's must parse as an int.
     Rejects non-prime moduli with a diagnostic naming a nontrivial factor.
     """
     if isinstance(descriptor, Field):
@@ -264,14 +266,18 @@ def field_make(descriptor: Descriptor) -> Field:
         if descriptor == "Q":
             return QQ
         if descriptor.startswith("GF:"):
-            return Field("GF", int(descriptor[3:]))
+            try:
+                p = int(descriptor[3:])
+            except ValueError:
+                raise ValueError(f"unknown field descriptor {descriptor!r}") from None
+            return Field("GF", p)
         raise ValueError(f"unknown field descriptor {descriptor!r}")
     if isinstance(descriptor, dict):
         kind = descriptor.get("kind")
         if kind == "Q":
             return QQ
         if kind == "GF":
-            return Field("GF", int(descriptor["p"]))
+            return Field("GF", descriptor["p"])
     raise ValueError(f"unknown field descriptor {descriptor!r}")
 
 

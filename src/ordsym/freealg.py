@@ -4,7 +4,7 @@ Words are tuples of 1-based generator indices; the empty tuple is the
 monomial 1.  Canonical word order is by length, then lexicographically,
 which fixes echelon coordinates and serialization.  A polynomial is held
 once, as {word: nonzero raw value}; its arithmetic is linalg.combine over
-word-keyed rows, and terms, coeff and poly_vector wrap what they return.
+word-keyed rows, and terms and coeff wrap what they return.
 
 The central construction is ``sym_poly(profile)``: the coefficient-one sum
 of every word containing exactly profile[j] occurrences of generator j+1.
@@ -20,7 +20,7 @@ from itertools import product
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
-from .fields import Field, Scalar, dense_scalars, raw_value
+from .fields import Field, Scalar, raw_value
 from .linalg import Subspace, combine
 
 __all__ = [
@@ -246,15 +246,6 @@ def word_basis(m: int, lengths: Iterable[int]) -> list[Word]:
             raise ValueError("word length must be nonnegative")
         out.extend(product(range(1, m + 1), repeat=n))
     return out
-
-
-def poly_vector(p: FreePoly, basis: Sequence[Word]) -> tuple[Scalar, ...]:
-    """Coordinates of a polynomial in an explicit word basis."""
-    index = {w: i for i, w in enumerate(basis)}
-    try:
-        return dense_scalars(p.field, len(basis), {index[w]: c for w, c in p._terms.items()})
-    except KeyError as e:
-        raise ValueError(f"word {e.args[0]} outside the chosen basis") from None
 
 
 def _word_rows(m: int, lengths: Iterable[int], field: Field, rows: Iterable[dict[Word, object]]) -> Subspace:

@@ -11,9 +11,11 @@ Schema (1-based indices on the wire):
       "filtration": [[[v...], ...], ...]      # optional, spanning vectors per stage
     }
 
-Rational coefficients travel as "num/den" strings (plain integers allowed);
-prime-field coefficients as integers, each read once by raw_from_json into
-the raw form that is stored; read_vector reads every JSON vector,
+dim, p and the indices i, j, k are JSON integers (true and false are
+not), and one product names each target k once.  Rational coefficients
+travel as "num/den" strings (plain integers allowed); prime-field
+coefficients as integers, each read once by raw_from_json into the raw
+form that is stored; read_vector reads every JSON vector,
 --elements and --coeffs too, and names a bad entry by its place.
 dump_description writes that stored raw form back through raw_to_json, so
 neither direction builds a Scalar.  A field override re-reads every
@@ -77,6 +79,11 @@ def _value(field: Field, raw, where: str):
         _fail(where, str(e))
 
 
+def _index(x, dim: int) -> bool:
+    """Whether x is a 1-based index in 1..dim: a JSON integer, and no bool."""
+    return x.__class__ is int and 1 <= x <= dim
+
+
 def read_vector(field: Field, dim: int, raw, where: str) -> list:
     """The raw values of a JSON coordinate vector of length dim; InputError names where, and which entry."""
     if not isinstance(raw, list) or len(raw) != dim:
@@ -102,7 +109,7 @@ def load_description(doc: dict, field_override: Optional[Field] = None):
     if field_override is not None:
         field = field_override
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if dim.__class__ is not int or dim < 1:
         _fail("dim", f"expected a positive integer, got {dim!r}")
     basis = doc.get("basis")
     if not isinstance(basis, list) or len(basis) != dim:
@@ -117,7 +124,7 @@ def load_description(doc: dict, field_override: Optional[Field] = None):
         if not (isinstance(row, list) and len(row) == 3):
             _fail(where, "expected [i, j, [[k, coeff], ...]]")
         i, j, prods = row
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= dim and 1 <= j <= dim):
+        if not (_index(i, dim) and _index(j, dim)):
             _fail(where, f"indices must be in 1..{dim}")
         if (i - 1, j - 1) in mul:
             _fail(where, f"duplicate product entry for ({i},{j})")
@@ -128,8 +135,10 @@ def load_description(doc: dict, field_override: Optional[Field] = None):
             if not (isinstance(pair, list) and len(pair) == 2):
                 _fail(f"{where}[{s}]", "expected [k, coeff]")
             k, c = pair
-            if not (isinstance(k, int) and 1 <= k <= dim):
+            if not _index(k, dim):
                 _fail(f"{where}[{s}]", f"target index must be in 1..{dim}")
+            if k - 1 in entry:
+                _fail(f"{where}[{s}]", f"duplicate target index {k}")
             entry[k - 1] = _value(field, c, f"{where}[{s}]")
         mul[(i - 1, j - 1)] = entry
     unit = None
@@ -149,8 +158,8 @@ def load_description(doc: dict, field_override: Optional[Field] = None):
         for s, vecs in enumerate(raw_stages):
             if not isinstance(vecs, list):
                 _fail(f"filtration[{s}]", "expected a list of spanning vectors")
-            rows = [read_vector(field, dim, v, f"filtration[{s}][{r}]") for r, v in enumerate(vecs)]
-            stages.append(Subspace(field, dim, rows))
+            rows = (read_vector(field, dim, v, f"filtration[{s}][{r}]") for r, v in enumerate(vecs))
+            stages.append(Subspace.from_raw(field, dim, ({k: x for k, x in enumerate(row) if x} for row in rows)))
         chain = Chain(tuple(stages))
     return algebra, chain
 

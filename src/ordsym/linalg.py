@@ -9,9 +9,11 @@ Vectors are sparse raw rows {index: raw value} (see fields).  There is one
 sum of them, combine, which element arithmetic, the graded and Rees layers
 and elimination use, and one elimination: a Subspace takes rows one at a
 time into its basis, pivot column -> that row's non-pivot entries, the
-canonical form of the rows read so far.  rref and the solvers build a
-Subspace.  The dense entry points are adapters: they read Scalars through
-fields.read_sparse and wrap what they return.
+canonical form of the rows read so far.  rref, the raw solvers
+inverse_rows and solve_raw, and the Vandermonde recovery build a Subspace.
+The dense entry points, rref and the Subspace methods that take a vector
+of Scalars, are adapters: they read Scalars through fields.read_sparse and
+wrap what they return.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from .fields import Field, Scalar, canonical_rational, dense_scalars, raw_value,
 __all__ = [
     "Subspace",
     "rref",
-    "solve_square",
-    "invert_matrix",
-    "solve_consistent",
     "vandermonde_recover",
     "multi_vandermonde_recover",
 ]
@@ -217,26 +216,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, field={self.field})"
 
 
-def solve_square(field: Field, a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Solve A X = B exactly for square invertible A; B given row-wise.
-
-    Rows of B correspond to rows of A, so X[i] has the width of B's rows.
-    Raises ValueError if A is singular.
-    """
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix is not square")
-    if len(b) != n:
-        raise ValueError("right-hand side has wrong height")
-    width = len(b[0]) if b else 0
-    rows = _solution(Subspace(field, n + width, [[*ra, *rb] for ra, rb in zip(a, b)]), n)
-    return [list(dense_scalars(field, width, r)) for r in rows]
-
-
-def invert_matrix(field: Field, a: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    return solve_square(field, a, Subspace.full(field, len(a)).rows)
-
-
 def inverse_rows(field: Field, rows: Sequence[Raw]) -> list[Raw]:
     """The inverse of the square matrix with these sparse raw rows, as sparse raw rows."""
     n = len(rows)
@@ -260,16 +239,6 @@ def solve_raw(field: Field, n: int, rows: Iterable[Raw]) -> Raw | None:
     if n in basis:
         return None
     return {c: x for c, row in basis.items() if (x := row.get(n))}
-
-
-def solve_consistent(field: Field, a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
-    """One exact solution x of A x = b, or None when inconsistent: solve_raw on dense rows."""
-    if len(a) != len(b):
-        raise ValueError("right-hand side has wrong height")
-    ncols = len(a[0]) if a else 0
-    read = Subspace(field, ncols + 1)._read
-    x = solve_raw(field, ncols, (read([*ra, rb]) for ra, rb in zip(a, b)))
-    return None if x is None else list(dense_scalars(field, ncols, x))
 
 
 def vandermonde_recover(xis: Sequence[Scalar], ws: Sequence[Sequence[Scalar]]) -> list[Vector]:

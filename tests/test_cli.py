@@ -128,6 +128,12 @@ def test_exit_2_on_unknown_builtin(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("descriptor", ["GF:abc", "GF:7.9", "GF:"])
+def test_exit_2_on_unparsable_field_modulus(descriptor, capsys):
+    assert main(["nil-index", "--builtin", "upper-triangular:2", "--field", descriptor]) == 2
+    assert capsys.readouterr().err == f"input error: unknown field descriptor '{descriptor}'\n"
+
+
 def test_exit_2_on_missing_source(capsys):
     code = main(["nil-index"])
     assert code == 2

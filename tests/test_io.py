@@ -62,6 +62,37 @@ def test_bad_filtration_vector_located():
         load_description(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"field": {"kind": "Q"}, "dim": True, "basis": ["a"], "mul": [[True, True, [[True, "1"]]]]},
+         "dim: expected a positive integer, got True"),
+        ({"dim": 1, "basis": ["a"], "mul": [[True, 1, [[1, "1"]]]]}, r"mul\[0\]: indices must be in 1\.\.1"),
+        ({"dim": 1, "basis": ["a"], "mul": [[1, True, [[1, "1"]]]]}, r"mul\[0\]: indices must be in 1\.\.1"),
+        ({"dim": 1, "basis": ["a"], "mul": [[1, 1, [[True, "1"]]]]},
+         r"mul\[0\]\[0\]: target index must be in 1\.\.1"),
+    ],
+    ids=["dim", "i", "j", "k"],
+)
+def test_a_bool_is_no_index(doc, where):
+    """JSON true is no integer: a bool dim or index is rejected where it stands."""
+    with pytest.raises(InputError, match=where):
+        load_description(doc)
+
+
+def test_duplicate_target_index_located():
+    doc = {"dim": 2, "basis": ["a", "b"], "mul": [[1, 1, [[2, "1"], [2, "5"]]]]}
+    with pytest.raises(InputError, match=r"^mul\[0\]\[1\]: duplicate target index 2$"):
+        load_description(doc)
+
+
+@pytest.mark.parametrize("p", [7.9, "7", True, None], ids=repr)
+def test_a_gf_modulus_must_be_an_integer(p):
+    doc = {"field": {"kind": "GF", "p": p}, "dim": 1, "basis": ["a"], "mul": [[1, 1, [[1, 1]]]]}
+    with pytest.raises(InputError, match="^field: prime-field modulus must be an integer >= 2$"):
+        load_description(doc)
+
+
 def test_composite_override_rejected():
     with pytest.raises(ValueError, match="not prime"):
         Field("GF", 9)

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordsym.fields import QQ, Field
+from ordsym.fields import QQ, Field, dense_scalars, read_sparse
 from ordsym.freealg import multidegrees
 from ordsym.linalg import (
     Subspace,
     multi_vandermonde_recover,
     rref,
-    solve_consistent,
+    solve_raw,
     vandermonde_recover,
 )
 from oracle import FIELDS, dense_sum, forward_grid, forward_vandermonde, matrices, raw
@@ -133,7 +133,7 @@ def test_contains_agrees_with_solvability(rows, target):
     s = Subspace(QQ, 3, mat)
     # v in span(rows)  <=>  the system (columns = rows) is consistent
     cols = [[mat[r][c] for r in range(len(mat))] for c in range(3)]
-    sol = solve_consistent(QQ, cols, v)
+    sol = solve_raw(QQ, len(mat), [read_sparse(QQ, (*col, c)) for col, c in zip(cols, v)])
     assert s.contains(v) == (sol is not None)
 
 
@@ -266,7 +266,8 @@ def test_solve_consistent_agrees_with_substitution(ncols, data):
     mat = vecs(QQ, rows)
     xs = [QQ.scalar(c) for c in x]
     b = [sum((r[j] * xs[j] for j in range(ncols)), QQ.zero()) for r in mat]
-    sol = solve_consistent(QQ, mat, b)
-    assert sol is not None
+    x = solve_raw(QQ, ncols, [read_sparse(QQ, (*r, rb)) for r, rb in zip(mat, b)])
+    assert x is not None
+    sol = dense_scalars(QQ, ncols, x)
     for r, rb in zip(mat, b):
         assert sum((r[j] * sol[j] for j in range(ncols)), QQ.zero()) == rb

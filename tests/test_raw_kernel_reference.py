@@ -29,9 +29,10 @@ from ordsym.algebra import AlgElement
 from ordsym.catalog import builtin_example
 from ordsym.fields import QQ, Field, Scalar
 from ordsym.graded import Filtration, associated_graded
-from ordsym.linalg import Subspace, invert_matrix
-from oracle import (FIELDS, algebras, combine, dense_sum, entries, matrices, raw, raw_row, reference_multiply_coords,
-                    reference_reduce, reference_rref, sparse_vectors, vectors)
+from ordsym.linalg import Subspace
+from oracle import (FIELDS, algebras, combine, dense_sum, entries, eye, matrices, raw, raw_row,
+                    reference_multiply_coords, reference_reduce, reference_rref, reference_solve_square, sparse_vectors,
+                    vectors)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -190,7 +191,8 @@ def test_adapted_coordinates_match_reference(field, data):
     gr = associated_graded(Filtration(algebra, stages))
     vecs = [v for _, v in gr.adapted]
     # the columns of the inverse of the matrix whose columns are the adapted vectors
-    to_adapted = list(zip(*invert_matrix(field, [[v[r] for v in vecs] for r in range(algebra.dim)])))
+    cols = [[v[r] for v in vecs] for r in range(algebra.dim)]
+    to_adapted = list(zip(*reference_solve_square(field, cols, eye(field, algebra.dim))))
     ws = [algebra.multiply_coords(u, v) for u in vecs for v in vecs]
     ws.append(data.draw(vectors(field, algebra.dim)))
     for w in ws:

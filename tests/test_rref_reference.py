@@ -6,11 +6,10 @@ eliminates on the nonzero entries only, and wraps only the rows it
 returns back into Scalars.  The oracle's reference is the version it
 replaced, which ran every cell update through Scalar arithmetic.  Both
 must give the same rows, the same pivots and the same raw values, with
-their types, for `rref`, `Subspace`,
-`solve_consistent`, `solve_square` and `invert_matrix` over Q, GF(2),
-GF(7) and GF(101): on general, sparse, rank-deficient, duplicated and
-zero-row matrices, on inconsistent systems, and on wide 0/1 word-coordinate
-rows like `sym_span_upto`'s.
+their types, for `rref`, `Subspace`, the raw solve `solve_raw` and the
+raw inverse `inverse_rows` over Q, GF(2), GF(7) and GF(101): on general,
+sparse, rank-deficient, duplicated and zero-row matrices, on inconsistent
+systems, and on wide 0/1 word-coordinate rows like `sym_span_upto`'s.
 """
 
 from __future__ import annotations
@@ -21,11 +20,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordsym.fields import QQ, Field, Scalar
-from ordsym.freealg import multidegrees, poly_vector, sym_poly, word_basis
-from ordsym.linalg import Subspace, invert_matrix, rref, solve_consistent, solve_square
-from oracle import (FIELDS, dense_sum, entries, matrices, outcome, raw, reference_rref, reference_solve_consistent,
-                    reference_solve_square)
+from ordsym.fields import QQ, Field, Scalar, dense_scalars, read_sparse
+from ordsym.freealg import multidegrees, sym_poly, sym_span_upto, word_basis
+from ordsym.linalg import Subspace, inverse_rows, rref, solve_raw
+from oracle import (FIELDS, dense_sum, entries, eye, matrices, outcome, raw, raw_row, reference_rref,
+                    reference_solve_consistent, reference_solve_square)
 
 
 def wide_01_rows(field, rng, nrows, ncols):
@@ -46,13 +45,21 @@ def assert_rref_matches(field, rows):
 
 
 def assert_solve_matches(field, a, b):
-    got = solve_consistent(field, a, b)
+    got = solve_raw(field, len(a[0]), [read_sparse(field, (*ra, rb)) for ra, rb in zip(a, b)])
     expected = reference_solve_consistent(field, a, b)
     if expected is None:
         assert got is None
     else:
-        assert raw([got]) == raw([expected])
+        assert raw_row(got) == raw_row(expected)
     return expected is not None
+
+
+def assert_inverse_matches(field, a):
+    """inverse_rows on the sparse rows of a square matrix, against the reference solve of [A | I]."""
+    expected = outcome(lambda: [raw_row(r) for r in reference_solve_square(field, a, eye(field, len(a)))])
+    rows = [read_sparse(field, r) for r in a]
+    assert outcome(lambda: [raw_row(r) for r in inverse_rows(field, rows)]) == expected
+    return expected
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -84,14 +91,7 @@ def test_solve_square_and_invert_match_reference(field, data):
     n = data.draw(st.integers(1, 5))
     a = [[Scalar(field, c) for c in data.draw(st.lists(entries(field), min_size=n, max_size=n))]
          for _ in range(n)]
-    width = data.draw(st.integers(1, 3))
-    b = [[Scalar(field, c) for c in data.draw(st.lists(entries(field), min_size=width, max_size=width))]
-         for _ in range(n)]
-    expected = outcome(lambda: raw(reference_solve_square(field, a, b)))
-    assert outcome(lambda: raw(solve_square(field, a, b))) == expected
-    eye = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
-    expected = outcome(lambda: raw(reference_solve_square(field, a, eye)))
-    assert outcome(lambda: raw(invert_matrix(field, a))) == expected
+    assert_inverse_matches(field, a)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -113,10 +113,7 @@ def test_seeded_systems_cover_every_case(field):
         b = [Scalar(field, rng.randint(-4, 4)) for _ in a]
         seen.add("consistent" if assert_solve_matches(field, a, b) else "inconsistent")
         if len(a) >= ncols:
-            square = a[:ncols]
-            eye = [[field.one() if i == j else field.zero() for j in range(ncols)] for i in range(ncols)]
-            expected = outcome(lambda: raw(reference_solve_square(field, square, eye)))
-            assert outcome(lambda: raw(invert_matrix(field, square))) == expected
+            expected = assert_inverse_matches(field, a[:ncols])
             seen.add("singular" if isinstance(expected, str) else "invertible")
     for nrows, ncols in ((12, 40), (30, 25)):
         assert_rref_matches(field, wide_01_rows(field, rng, nrows, ncols))
@@ -127,10 +124,13 @@ def test_seeded_systems_cover_every_case(field):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @pytest.mark.parametrize("r,m", [(3, 2), (2, 3), (4, 2)])
 def test_word_coordinate_spans_match_reference(field, r, m):
-    """The wide 0/1 (and multinomial) rows `sym_span_upto` eliminates."""
+    """The wide 0/1 rows `sym_span_upto` eliminates, in the columns of `word_basis`."""
     basis = word_basis(m, range(r + 1))
-    vecs = [poly_vector(sym_poly(md, field), basis) for n in range(r + 1) for md in multidegrees(n, m)]
+    column = {w: i for i, w in enumerate(basis)}
+    vecs = [dense_scalars(field, len(basis), {column[w]: c for w, c in sym_poly(md, field).raw_terms()})
+            for n in range(r + 1) for md in multidegrees(n, m)]
     assert_rref_matches(field, vecs)
+    assert sym_span_upto(r, m, field, include_degree_zero=True) == Subspace(field, len(basis), vecs)
 
 
 def test_equal_field_instances_share_one_kernel():
@@ -155,12 +155,6 @@ def test_foreign_field_scalar_raises(foreign):
         rref(field, [[good, good], [good, bad]])
     with pytest.raises(ValueError):
         Subspace(field, 2, [[bad, good]])
-    with pytest.raises(ValueError):
-        solve_consistent(field, [[good], [good]], [good, bad])
-    with pytest.raises(ValueError):
-        solve_square(field, [[bad]], [[good]])
-    with pytest.raises(ValueError):
-        invert_matrix(field, [[good, bad], [bad, good]])
 
 
 def test_ragged_input_raises():
@@ -169,5 +163,3 @@ def test_ragged_input_raises():
         rref(QQ, [[one, one], [one]])
     with pytest.raises(ValueError, match="ragged"):
         Subspace(QQ, 2, [[one, one], [one]])
-    with pytest.raises(ValueError, match="square"):
-        solve_square(QQ, [[one, one], [one]], [[one], [one]])
