@@ -7,8 +7,9 @@ a validated Filtration, and imports graded only then; the commands that
 read a filtration (check-filtration, gr, verify-my1 and the Rees
 commands) load builtins through it.  builtin_algebra stops at the
 algebra: nil-index, alg-degree and alg-bound read no filtration, so on a
-builtin they load catalog, algebra, linalg and fields, and neither graded
-nor freealg.
+builtin they load catalog, structure, algebra, linalg and fields, and
+neither graded nor freealg.  A builder needs only structure, the algebra
+core.
 
 - upper-triangular n: all upper-triangular n x n matrix units, filtered by
   band width (diagonal first); unital.
@@ -27,8 +28,8 @@ from functools import partial
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable
 
-from .algebra import StructureAlgebra
 from .fields import QQ, Field
+from .structure import StructureAlgebra
 
 if TYPE_CHECKING:
     from .graded import Filtration

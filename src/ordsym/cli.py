@@ -11,14 +11,14 @@ modules it runs, inside its cmd_* function.  Every command loads cli, io
 and fields; then
 
 - span-dim and sym-poly load freealg and linalg, and no algebra;
-- nil-index, alg-degree and alg-bound load algebra and linalg (and catalog
-  on --builtin), but not graded, since they read no filtration;
-- check-filtration, gr and verify-my1 load graded too;
-- only rees-integrality and iso-check load rees.
+- the other commands load structure and linalg (and catalog on --builtin)
+  and never freealg.  nil-index, alg-degree and alg-bound add algebra, the
+  level walk; check-filtration and gr add graded, and the Rees commands
+  graded and rees; verify-my1 adds graded, algebra and nilbound.
 
-No command that reads an algebra loads freealg.  Each command is declared
-once, in _COMMANDS: its function, its help and its flags, which both
-build_parser and main read.
+Each command is declared once, in _COMMANDS: its function, its help and
+its flags, which both build_parser and main read; the parser adds only
+the flags of the command it parses.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .fields import QQ, Field, Scalar, field_make, raw_to_json, scalar_to_json
 from .io import InputError, InvalidAlgebraError, InvalidFiltrationError, load_path, read_vector
 
 if TYPE_CHECKING:
-    from .algebra import StructureAlgebra, ValidationReport
     from .graded import Filtration
     from .rees import ReesElement
+    from .structure import StructureAlgebra, ValidationReport
 
 
 class CheckFailure(Exception):
@@ -244,7 +244,7 @@ def cmd_alg_bound(args):
 
 
 def cmd_check_filtration(args):
-    from .algebra import ValidationReport
+    from .structure import ValidationReport
 
     try:
         _, filtration = _load(args, need_filtration=True)
@@ -314,9 +314,9 @@ def _default_rees_element(filtration: Filtration, seed: int) -> ReesElement:
     """Seeded element of the Rees algebra with zero constant coefficient."""
     import random
 
-    from .algebra import AlgElement
     from .linalg import combine
     from .rees import ReesElement
+    from .structure import AlgElement
 
     rng = random.Random(seed)
     base = filtration.algebra
@@ -439,22 +439,26 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Every command with its help, but the flags of `command` only (of all when it names none)."""
     parser = argparse.ArgumentParser(
         prog="ordsym",
         description="Exact checks for order-symmetric spans, nil/algebraic bounds, "
         "and filtered/graded/Rees constructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in _COMMANDS
     for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag, options in (*flags, *_COMMON):
-            p.add_argument(flag, **options)
+        if every or name == command:
+            for flag, options in (*flags, *_COMMON):
+                p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -257,7 +257,7 @@ def field_make(descriptor: Descriptor) -> Field:
     """Build a Field from {"kind":"Q"}, {"kind":"GF","p":7}, "Q", or "GF:7".
 
     A dict's modulus must be a JSON integer, not a float, string or bool,
-    and a string's must parse as an int.
+    and a string's must be ASCII decimal digits only (no sign, space or _).
     Rejects non-prime moduli with a diagnostic naming a nontrivial factor.
     """
     if isinstance(descriptor, Field):
@@ -265,18 +265,17 @@ def field_make(descriptor: Descriptor) -> Field:
     if isinstance(descriptor, str):
         if descriptor == "Q":
             return QQ
-        if descriptor.startswith("GF:"):
-            try:
-                p = int(descriptor[3:])
-            except ValueError:
-                raise ValueError(f"unknown field descriptor {descriptor!r}") from None
-            return Field("GF", p)
+        modulus = descriptor[3:]
+        if descriptor.startswith("GF:") and modulus.isascii() and modulus.isdigit():
+            return Field("GF", int(modulus))
         raise ValueError(f"unknown field descriptor {descriptor!r}")
     if isinstance(descriptor, dict):
         kind = descriptor.get("kind")
         if kind == "Q":
             return QQ
         if kind == "GF":
+            if "p" not in descriptor:
+                raise ValueError('a GF field needs its integer modulus "p"')
             return Field("GF", descriptor["p"])
     raise ValueError(f"unknown field descriptor {descriptor!r}")
 

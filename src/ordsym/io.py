@@ -36,8 +36,8 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 from .fields import Field, field_make, field_to_json, raw_from_json, raw_to_json
 
 if TYPE_CHECKING:
-    from .algebra import StructureAlgebra, ValidationReport
     from .linalg import Subspace
+    from .structure import StructureAlgebra, ValidationReport
 
 __all__ = ["InputError", "Chain", "read_vector", "load_description", "dump_description", "load_path"]
 
@@ -97,14 +97,14 @@ def load_description(doc: dict, field_override: Optional[Field] = None):
     Both come back unvalidated (schema checks only); callers decide
     whether a broken tensor or chain is a failed check or a fatal error.
     """
-    from .algebra import StructureAlgebra
     from .linalg import Subspace
+    from .structure import StructureAlgebra
 
     if not isinstance(doc, dict):
         _fail("document", "expected a JSON object")
     try:
         field = field_make(doc.get("field", {"kind": "Q"}))
-    except (ValueError, KeyError, TypeError) as e:
+    except ValueError as e:
         _fail("field", str(e))
     if field_override is not None:
         field = field_override

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import AlgElement, Record, StructureAlgebra
 from .fields import Field, Scalar, raw_value
 from .graded import Filtration, GradedAlgebra, associated_graded
 from .linalg import Subspace, combine, solve_raw
+from .structure import AlgElement, Record, StructureAlgebra
 
 __all__ = [
     "ScalarPoly",

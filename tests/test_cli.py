@@ -128,10 +128,18 @@ def test_exit_2_on_unknown_builtin(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("descriptor", ["GF:abc", "GF:7.9", "GF:"])
+@pytest.mark.parametrize("descriptor", ["GF:abc", "GF:7.9", "GF:", "GF:1_01", "GF: 7", "GF:\u0663"])
 def test_exit_2_on_unparsable_field_modulus(descriptor, capsys):
     assert main(["nil-index", "--builtin", "upper-triangular:2", "--field", descriptor]) == 2
-    assert capsys.readouterr().err == f"input error: unknown field descriptor '{descriptor}'\n"
+    assert capsys.readouterr().err == f"input error: unknown field descriptor {descriptor!r}\n"
+
+
+def test_exit_2_on_a_gf_description_without_modulus(tmp_path, capsys):
+    doc = {"field": {"kind": "GF"}, "dim": 1, "basis": ["a"], "mul": []}
+    path = tmp_path / "no-modulus.json"
+    path.write_text(json.dumps(doc))
+    assert main(["nil-index", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == 'input error: field: a GF field needs its integer modulus "p"\n'
 
 
 def test_exit_2_on_missing_source(capsys):

@@ -28,7 +28,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
 """
 
-ALGEBRA_MODULES = {"ordsym.algebra", "ordsym.graded", "ordsym.catalog", "ordsym.rees"}
+ALGEBRA_MODULES = {"ordsym.structure", "ordsym.algebra", "ordsym.graded", "ordsym.nilbound", "ordsym.catalog", "ordsym.rees"}
 
 
 def loaded_by(*argv: str) -> set[str]:
@@ -53,7 +53,7 @@ def test_word_commands_load_no_algebra(argv):
 @pytest.mark.parametrize("command", ["gr", "nil-index", "alg-degree", "verify-my1", "alg-bound", "check-filtration"])
 def test_algebra_commands_load_no_rees(command):
     loaded = loaded_by(command, "--builtin", "upper-triangular:3")
-    assert {"ordsym.algebra", "ordsym.catalog"} <= loaded
+    assert {"ordsym.structure", "ordsym.catalog"} <= loaded
     assert not loaded & {"ordsym.rees", "ordsym.freealg", "dataclasses"}
 
 
@@ -68,18 +68,42 @@ def test_rees_commands_load_rees_without_dataclasses(command):
 def test_builtin_without_filtration_loads_no_graded(command):
     """These commands read no filtration, so a builtin's is never built."""
     loaded = loaded_by(command, "--builtin", "upper-triangular:3")
-    assert {"ordsym.algebra", "ordsym.catalog", "ordsym.linalg"} <= loaded
-    assert not loaded & {"ordsym.graded", "ordsym.freealg"}
+    assert {"ordsym.structure", "ordsym.algebra", "ordsym.catalog", "ordsym.linalg"} <= loaded
+    assert not loaded & {"ordsym.graded", "ordsym.nilbound", "ordsym.freealg"}
 
 
-@pytest.mark.parametrize("command", ["nil-index", "alg-degree", "alg-bound"])
-def test_input_without_filtration_loads_no_graded(command, tmp_path):
-    """A description's stages come back from io as a plain Chain, so no Filtration is built."""
+def source(flag: str, tmp_path) -> tuple[str, str]:
+    """--builtin upper-triangular:3, or --input a description file of it."""
+    if flag == "--builtin":
+        return flag, "upper-triangular:3"
     from ordsym.catalog import builtin_example
     from ordsym.io import dump_description
 
     path = tmp_path / "upper-triangular-3.json"
     path.write_text(json.dumps(dump_description(*builtin_example("upper-triangular", 3))))
-    loaded = loaded_by(command, "--input", str(path))
-    assert {"ordsym.algebra", "ordsym.io", "ordsym.linalg"} <= loaded
-    assert not loaded & {"ordsym.graded", "ordsym.catalog", "ordsym.freealg"}
+    return flag, str(path)
+
+
+@pytest.mark.parametrize("command", ["nil-index", "alg-degree", "alg-bound"])
+def test_input_without_filtration_loads_no_graded(command, tmp_path):
+    """A description's stages come back from io as a plain Chain, so no Filtration is built."""
+    loaded = loaded_by(command, *source("--input", tmp_path))
+    assert {"ordsym.structure", "ordsym.algebra", "ordsym.io", "ordsym.linalg"} <= loaded
+    assert not loaded & {"ordsym.graded", "ordsym.nilbound", "ordsym.catalog", "ordsym.freealg"}
+
+
+@pytest.mark.parametrize("flag", ["--builtin", "--input"])
+@pytest.mark.parametrize("command", ["gr", "check-filtration", "iso-check", "rees-integrality"])
+def test_filtration_commands_load_neither_the_level_walk_nor_the_my1_pipeline(command, flag, tmp_path):
+    """They read an algebra and its filtration through structure and graded alone."""
+    loaded = loaded_by(command, *source(flag, tmp_path))
+    assert {"ordsym.structure", "ordsym.graded", "ordsym.linalg"} <= loaded
+    assert not loaded & {"ordsym.algebra", "ordsym.nilbound", "ordsym.freealg"}
+    assert ("ordsym.rees" in loaded) == (command in ("iso-check", "rees-integrality"))
+
+
+@pytest.mark.parametrize("flag", ["--builtin", "--input"])
+def test_verify_my1_loads_the_level_walk_and_the_my1_pipeline(flag, tmp_path):
+    loaded = loaded_by("verify-my1", *source(flag, tmp_path))
+    assert {"ordsym.structure", "ordsym.algebra", "ordsym.graded", "ordsym.nilbound"} <= loaded
+    assert not loaded & {"ordsym.rees", "ordsym.freealg"}

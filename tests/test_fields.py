@@ -27,6 +27,18 @@ def test_field_make_prime_field():
     assert field_make("GF:7") == f
 
 
+@pytest.mark.parametrize("descriptor", ["GF:1_01", "GF: 7", "GF:\u0663", "GF:+7", "GF:-7"])
+def test_field_make_reads_a_string_modulus_as_ascii_digits_only(descriptor):
+    """int() would read these as 101, 7, 3, 7 and -7."""
+    with pytest.raises(ValueError, match=f"^unknown field descriptor {re.escape(repr(descriptor))}$"):
+        field_make(descriptor)
+
+
+def test_field_make_names_a_missing_modulus():
+    with pytest.raises(ValueError, match='^a GF field needs its integer modulus "p"$'):
+        field_make({"kind": "GF"})
+
+
 def test_field_make_rejects_composite_with_factor():
     with pytest.raises(ValueError, match=r"6 = 2\*3"):
         field_make({"kind": "GF", "p": 6})

@@ -19,7 +19,7 @@ import pytest
 import ordsym
 from ordsym.algebra import BoundResult, ChainResult, InvalidAlgebraError, ValidationReport
 from ordsym.catalog import builtin_example
-from ordsym.cli import main
+from ordsym.cli import build_parser, main
 from ordsym.graded import HomogeneityReport, InvalidFiltrationError, NilVerification
 from ordsym.io import dump_description
 from ordsym.linalg import Subspace
@@ -52,6 +52,7 @@ EXPORTED = {
 }
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names]
 HELP_PINS = json.loads((Path(__file__).parent / "fixtures" / "cli_help.json").read_text())
+ERROR_PINS = json.loads((Path(__file__).parent / "fixtures" / "cli_errors.json").read_text())
 
 
 @pytest.mark.parametrize("module,name", NAMES)
@@ -101,6 +102,25 @@ def test_help_output_is_unchanged(command, monkeypatch, capsys):
     if not command and sys.version_info >= (3, 13):
         expected = HELP_PINS["root help from Python 3.13"]
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("line", list(ERROR_PINS["errors"]))
+def test_usage_errors_are_unchanged(line, monkeypatch, capsys):
+    """Exit code and stderr of a bad command line, pinned on the Python they were recorded with.
+
+    On every Python, the parser main builds, with the flags of the named
+    command only, fails exactly as the parser with every command's flags.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    pin = ERROR_PINS["errors"][line]
+    assert main(line.split()) == pin["exit"]
+    err = capsys.readouterr().err
+    if sys.version_info[:2] == tuple(ERROR_PINS["python"]):
+        assert err == pin["stderr"]
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(line.split())
+    assert exit_info.value.code == pin["exit"]
+    assert capsys.readouterr().err == err
 
 
 def test_builtin_help_lists_the_catalog_names(monkeypatch, capsys):
