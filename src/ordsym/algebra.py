@@ -253,9 +253,10 @@ def uniform_nil_index(elts: Sequence[AlgElement], cutoff: Optional[int] = None) 
     algebra = elts[0].algebra
     cap = algebra.dim + 1 if cutoff is None else cutoff
     # A non-nilpotent member rules out a zero span at every degree: the
-    # combination picking that member alone would have to vanish.
+    # combination picking that member alone would have to vanish.  A
+    # nilpotent member has index at most dim + 1, whatever the cutoff.
     for e in elts:
-        if e.nil_index(cap) is None:
+        if e.nil_index(min(cap, algebra.dim + 1)) is None:
             return None
     nonzero = sum(1 for _ in islice(levels, cap))
     return nonzero + 1 if nonzero < cap else None

@@ -12,12 +12,14 @@ point anywhere.  Inside the kernels a vector has one form, sparse raw:
 once, raw.  Scalar is the boundary form: raw_from_json and read_sparse
 field-check input once, dense_scalars wraps what a caller reads and
 raw_to_json writes; no library function runs Scalar arithmetic.
+raw_value lets in only exact numbers: a Scalar, an int or a Fraction.  A
+GF(p) modulus is proven prime, so it must lie below psi_12 =
+318665857834031151167461, the least strong pseudoprime to the bases 2..37.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterator, Union
 
 __all__ = [
@@ -30,22 +32,27 @@ __all__ = [
     "field_to_json",
 ]
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin over the first twelve primes proves n prime for every n below
+# psi_12, the least strong pseudoprime to all of them (Sorenson and Webster,
+# Math. Comp. 2017); psi_12 = 399165290221 * 798330580441 passes them all.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_CERTIFIED_BELOW = 318665857834031151167461
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for anything we will ever see."""
+    """Whether n is prime, proven by Miller-Rabin over _BASES; ValueError when n >= psi_12."""
+    if n >= _CERTIFIED_BELOW:
+        raise ValueError(f"prime-field modulus {n} is too large: primality is certified only below {_CERTIFIED_BELOW}")
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    # This witness set is deterministic for n < 3.3 * 10^24.
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -56,24 +63,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _find_factor(n: int) -> int:
-    """A nontrivial factor of composite n (trial division, then Pollard rho)."""
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return p
-    x, y, d = 2, 2, 1
-    c = 1
-    while d in (1, n):
-        x, y, d = 2, 2, 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        c += 1
-    return d
 
 
 class Field:
@@ -88,8 +77,8 @@ class Field:
             if p.__class__ is not int or p < 2:
                 raise ValueError("prime-field modulus must be an integer >= 2")
             if not _is_prime(p):
-                f = _find_factor(p)
-                raise ValueError(f"{p} = {f}*{p // f} is not prime")
+                f = next((a for a in _BASES if p % a == 0), None)
+                raise ValueError(f"{p} = {f}*{p // f} is not prime" if f else f"{p} is not prime")
         else:
             p = None
         self.kind = kind
@@ -215,21 +204,25 @@ class Scalar:
 def raw_value(field: Field, x):
     """The canonical raw value of x, a Scalar of field, an int or a Fraction.
 
-    ValueError on a Scalar of another field; ZeroDivisionError on a
-    Fraction whose denominator vanishes mod p.
+    TypeError on anything else, such as a float, a str or None (a bool is
+    an int).  ValueError on a Scalar of another field; ZeroDivisionError on
+    a Fraction whose denominator vanishes mod p.
     """
-    if x.__class__ is Scalar:
+    cls = x.__class__
+    if cls is Scalar:
         if x.field is not field and x.field != field:
             raise ValueError(f"scalar of {x.field} used in {field}")
         return x.value
     p = field.p
+    if isinstance(x, int):
+        return x % p if p else int(x)
+    if not isinstance(x, Fraction):
+        raise TypeError(f"{x!r} is not a scalar of {field}: expected a Scalar, an int or a Fraction")
     if p is None:
-        return x if x.__class__ is int else canonical_rational(x if x.__class__ is Fraction else Fraction(x))
-    if isinstance(x, Fraction):
-        if x.denominator % p == 0:
-            raise ZeroDivisionError(f"denominator divisible by {p}")
-        x = x.numerator * pow(x.denominator, -1, p)
-    return x % p
+        return canonical_rational(x if cls is Fraction else Fraction(x))
+    if x.denominator % p == 0:
+        raise ZeroDivisionError(f"denominator divisible by {p}")
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 def canonical_rational(v):
@@ -258,7 +251,8 @@ def field_make(descriptor: Descriptor) -> Field:
 
     A dict's modulus must be a JSON integer, not a float, string or bool,
     and a string's must be ASCII decimal digits only (no sign, space or _).
-    Rejects non-prime moduli with a diagnostic naming a nontrivial factor.
+    Rejects a composite modulus, naming a factor when one is at most 37,
+    and any modulus from psi_12 = 318665857834031151167461 up, uncertified.
     """
     if isinstance(descriptor, Field):
         return descriptor

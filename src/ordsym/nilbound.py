@@ -106,18 +106,20 @@ def verify_graded_nil_index(
     to N.
     """
     t = filtration.top
+    # Ranges are checked before the one-stage shortcut, so that a bad flag
+    # is bad input whatever the filtration.
+    if t or p is not None or q is not None:
+        p, q = 1 if p is None else p, t if q is None else q
+        if not (1 <= p <= q <= t):
+            raise ValueError(f"need 1 <= p <= q <= top={t}")
+    if d is not None and d < 1:
+        raise ValueError("algebraic degree bound must be >= 1")
     if t == 0:
         return NilVerification(
             ok=True, p=0, q=0, d=d, d_source="given" if d is not None else "sampled",
             n_bound=None, observed_index=None, tested_classes=0, tested_samples=0,
             vacuous=True,
         )
-    if p is None:
-        p = 1
-    if q is None:
-        q = t
-    if not (1 <= p <= q <= t):
-        raise ValueError(f"need 1 <= p <= q <= top={t}")
     if gr is None:
         gr = graded.associated_graded(filtration)
     base = filtration.algebra

@@ -134,6 +134,20 @@ def test_exit_2_on_unparsable_field_modulus(descriptor, capsys):
     assert capsys.readouterr().err == f"input error: unknown field descriptor {descriptor!r}\n"
 
 
+@pytest.mark.parametrize(
+    "modulus, message",
+    [
+        # psi_12, the least strong pseudoprime to the bases 2..37, composite
+        ("318665857834031151167461", "is too large: primality is certified only below 318665857834031151167461"),
+        ("300000000029300000000713", "300000000029300000000713 is not prime"),
+    ],
+)
+def test_exit_2_on_a_modulus_not_certified_prime(modulus, message, capsys):
+    assert main(["nil-index", "--builtin", "strictly-upper-triangular:3", "--field", f"GF:{modulus}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_exit_2_on_a_gf_description_without_modulus(tmp_path, capsys):
     doc = {"field": {"kind": "GF"}, "dim": 1, "basis": ["a"], "mul": []}
     path = tmp_path / "no-modulus.json"
@@ -301,11 +315,26 @@ def test_check_filtration_without_filtration_is_input_error(tmp_path, capsys):
         ["nil-index", "--builtin", "strictly-upper-triangular:3", "--nmax", "0"],
         ["iso-check", "--builtin", "upper-triangular:3", "--maxdeg", "-1"],
         ["rees-integrality", "--builtin", "truncated-polynomial:3", "--degmax", "-1"],
+        # a one-stage filtration checks its flags as a longer one does
+        ["verify-my1", "--builtin", "truncated-polynomial:1", "--d", "0"],
+        ["verify-my1", "--builtin", "truncated-polynomial:1", "--p", "0"],
+        ["verify-my1", "--builtin", "truncated-polynomial:1", "--p", "3", "--q", "1"],
     ],
 )
 def test_exit_2_on_out_of_range_values(argv, capsys):
     assert main(argv) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_a_huge_nmax_stops_at_a_non_nilpotent_member(capsys):
+    """E11 is idempotent: it is powered to dim + 1, not to the cutoff."""
+    argv = ["nil-index", "--builtin", "upper-triangular:2", "--nmax"]
+    code, report = run([*argv, "100000000"], capsys)
+    _, small = run([*argv, "5"], capsys)
+    assert code == 0 and report["results"]["cutoff"] == 100000000
+    for r in (report, small):
+        del r["timing_ms"], r["results"]["cutoff"]
+    assert report == small and report["results"]["index"] is None
 
 
 def test_explicit_nmax_is_the_cutoff(capsys):

@@ -1,4 +1,5 @@
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,13 @@ from hypothesis import given, strategies as st
 from ordsym.fields import (
     QQ,
     Field,
+    Scalar,
+    _is_prime,
     distinct_scalars,
     field_make,
     raw_from_json,
     raw_to_json,
+    raw_value,
     scalar_from_json,
     scalar_to_json,
 )
@@ -49,6 +53,64 @@ def test_field_make_rejects_composite_with_factor():
 def test_field_make_accepts_large_prime():
     f = Field("GF", (1 << 61) - 1)
     assert f.p == (1 << 61) - 1
+
+
+PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
+# psi_1 .. psi_11: the least strong pseudoprime to the first k prime bases
+STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+                       3825123056546413051]
+
+
+def _rejected_within_a_second(modulus, message):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        Field("GF", modulus)
+    assert time.perf_counter() - start < 1.0
+
+
+# psi_12; a 31-digit semiprime, which Pollard rho took over 10 s to split;
+# and the Mersenne prime 2^89 - 1, prime but past the certified range
+@pytest.mark.parametrize("modulus", [PSI_12, 2000000000000095000000000000777, (1 << 89) - 1])
+def test_a_modulus_at_or_above_psi_12_is_rejected_on_the_bound(modulus):
+    _rejected_within_a_second(modulus, rf"^prime-field modulus {modulus} is too large: "
+                                       rf"primality is certified only below {PSI_12}$")
+
+
+def test_a_composite_without_a_factor_up_to_37_is_rejected_fast_and_named_as_such():
+    n = 500000000023 * 600000000031
+    _rejected_within_a_second(n, rf"^{n} is not prime$")
+    _rejected_within_a_second(43 * 41, r"^1763 is not prime$")
+
+
+def test_is_prime_agrees_with_a_sieve_below_2e5():
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
+def test_is_prime_rejects_the_strong_pseudoprimes_below_psi_12(n):
+    assert not _is_prime(n)
+
+
+@pytest.mark.parametrize("x", [2.5, "1/2", None, 1.0])
+@pytest.mark.parametrize("field", [QQ, Field("GF", 7)], ids=repr)
+def test_only_exact_numbers_are_scalars(x, field):
+    with pytest.raises(TypeError, match="expected a Scalar, an int or a Fraction"):
+        raw_value(field, x)
+    with pytest.raises(TypeError, match="expected a Scalar, an int or a Fraction"):
+        Scalar(field, x)
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 7)], ids=repr)
+def test_a_bool_reads_as_an_int(field):
+    assert type(raw_value(field, True)) is int and raw_value(field, True) == 1
+    assert Scalar(field, False) == field.zero()
 
 
 def test_rational_add():
