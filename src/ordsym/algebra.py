@@ -247,19 +247,24 @@ def uniform_nil_index(elts: Sequence[AlgElement], cutoff: Optional[int] = None) 
     elements has n-th power zero, over any field (no field-size hypothesis
     for this direction).  Once some degree's values all vanish, so do all
     later ones, by the first-letter recursion, so the first empty level
-    is exactly the certificate degree.
+    is exactly the certificate degree.  The walk stops at degree dim + 1
+    whatever the cutoff: a nonzero level there proves that no level
+    vanishes.
     """
     levels = _nonzero_levels(elts)
     algebra = elts[0].algebra
     cap = algebra.dim + 1 if cutoff is None else cutoff
-    # A non-nilpotent member rules out a zero span at every degree: the
-    # combination picking that member alone would have to vanish.  A
-    # nilpotent member has index at most dim + 1, whatever the cutoff.
-    for e in elts:
-        if e.nil_index(min(cap, algebra.dim + 1)) is None:
-            return None
-    nonzero = sum(1 for _ in islice(levels, cap))
-    return nonzero + 1 if nonzero < cap else None
+    # A nilpotent element has index at most dim + 1.  So a nonzero level at
+    # degree dim + 1, which makes (sum t_j a_j)^(dim+1) a nonzero polynomial
+    # in the t_j, proves that no level vanishes: at a non-root t over the
+    # algebraic closure of the field (over the field itself when it has
+    # more than dim + 1 elements), x = sum t_j a_j is not nilpotent.  A
+    # member whose walk-th power is nonzero decides it at once.
+    walk = min(cap, algebra.dim + 1)
+    if any(e.nil_index(walk) is None for e in elts):
+        return None
+    nonzero = sum(1 for _ in islice(levels, walk))
+    return nonzero + 1 if nonzero < walk else None
 
 
 BRUTE_FORCE_BUDGET = 200_000  # most coefficient tuples brute_force_nil_index enumerates

@@ -1,0 +1,104 @@
+"""The checks of the command line: one module per command, each with run(args).
+
+run returns (status, params, results) or raises CheckFailure, and
+cli.main writes the report.  main imports the module of the command it
+runs and no other, so a check compiles its own command's body and the
+helpers below.  Each run imports what it needs inside its body, so a
+command loads only the modules it runs (see cli).
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Optional
+
+from ..fields import QQ, Field, field_make
+from ..io import InputError, InvalidFiltrationError, load_path, read_vector
+
+if TYPE_CHECKING:
+    from ..graded import Filtration
+    from ..structure import StructureAlgebra, ValidationReport
+
+
+class CheckFailure(Exception):
+    """A well-formed input failed a check; carries results for the report."""
+
+    def __init__(self, results: dict, witnesses=None):
+        super().__init__("check failed")
+        self.results = results
+        self.witnesses = witnesses
+
+
+class FiltrationFailure(CheckFailure):
+    """A description file's filtration broke a law; keeps its stage dims and report for check-filtration."""
+
+    def __init__(self, stage_dims: list[int], report: ValidationReport):
+        super().__init__({"filtration_valid": False, "detail": report.describe()})
+        self.stage_dims = stage_dims
+        self.report = report
+
+
+def field_of(args) -> Field:
+    """The --field override, or Q."""
+    return field_make(args.field) if args.field else QQ
+
+
+def load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Optional[Filtration]]:
+    """The validated (algebra, filtration) of --builtin or --input.
+
+    The only place CLI input is validated: builtins are validated when they
+    are built, a description file's algebra here, and its chain of stages
+    here too, as a Filtration, when the command needs one.  Otherwise no
+    filtration is built and graded stays unloaded.  A broken law raises
+    CheckFailure.
+    """
+    field = field_of(args)
+    if args.builtin:
+        name, sep, param = args.builtin.partition(":")
+        if not sep:
+            raise InputError(f"--builtin expects NAME:PARAM, got {args.builtin!r}")
+        try:
+            size = int(param)
+        except ValueError:
+            raise InputError(f"builtin parameter must be an integer, got {param!r}") from None
+        from .. import catalog
+
+        if need_filtration:
+            return catalog.builtin_example(name, size, field)
+        return catalog.builtin_algebra(name, size, field), None
+    if args.input:
+        algebra, chain = load_path(args.input, field_override=field if args.field else None)
+        report = algebra.validate()
+        if not report.ok:
+            raise CheckFailure({"algebra_valid": False, "detail": report.describe()})
+        if not need_filtration:
+            return algebra, None
+        if chain is None:
+            raise InputError("this command needs a filtration in the description")
+        from ..graded import Filtration
+
+        try:
+            return algebra, Filtration(algebra, chain.stages)
+        except InvalidFiltrationError as e:
+            raise FiltrationFailure([s.dim for s in chain.stages], e.report) from None
+    raise InputError("need --input FILE or --builtin NAME:PARAM")
+
+
+def vectors(flag: str, text: str, algebra: StructureAlgebra, expects: str, nonempty: bool = False) -> list:
+    """The raw coordinate vectors of a JSON list flag, each read by io.read_vector."""
+    import json
+
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"{flag}: {e.msg}") from None
+    if not isinstance(data, list) or (nonempty and not data):
+        raise InputError(f"{flag} expects {expects}")
+    return [read_vector(algebra.field, algebra.dim, vec, f"{flag}[{i}]") for i, vec in enumerate(data)]
+
+
+def elements(args, algebra: StructureAlgebra):
+    """The --elements vectors as elements, or the basis."""
+    if args.elements is None:
+        return algebra.basis_elements()
+    vecs = vectors("--elements", args.elements, algebra, "a nonempty JSON list of vectors", nonempty=True)
+    return [algebra.element(vec) for vec in vecs]

@@ -1,0 +1,36 @@
+"""sym-poly: expand one order-symmetric sum and count its terms."""
+
+from __future__ import annotations
+
+from ..fields import raw_to_json
+from ..io import InputError
+from . import CheckFailure, field_of
+
+
+def _parse_md(text: str) -> tuple[int, ...]:
+    try:
+        md = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InputError(f"--md expects comma-separated integers, got {text!r}") from None
+    if not md or any(i < 0 for i in md):
+        raise InputError("--md entries must be nonnegative")
+    return md
+
+
+def run(args):
+    from ..freealg import monomial_count, sym_poly
+
+    field = field_of(args)
+    md = _parse_md(args.md)
+    poly = sym_poly(md, field)
+    terms = [[list(w), raw_to_json(field, c)] for w, c in poly.raw_terms()]
+    count = monomial_count(md)
+    results = {
+        "profile": list(md),
+        "terms": terms,
+        "term_count": len(terms),
+        "multinomial": count,
+    }
+    if len(terms) != count:
+        raise CheckFailure(results)
+    return "pass", {"md": list(md)}, results

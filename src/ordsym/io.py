@@ -30,7 +30,6 @@ modules that raise them; algebra and graded re-export their own.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .fields import Field, field_make, field_to_json, raw_from_json, raw_to_json
@@ -186,6 +185,8 @@ def dump_description(algebra: StructureAlgebra, filtration=None) -> dict:
 
 def load_path(path: str, field_override: Optional[Field] = None):
     """Read and parse a description file; all failures become InputError."""
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

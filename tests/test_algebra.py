@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,15 @@ def test_nil_index_single_square_zero():
 def test_nil_index_idempotent_is_none():
     A = ut3()
     assert uniform_nil_index([unit_elt(A, "E11")]) is None
+
+
+def test_nil_index_stops_at_dim_plus_one_when_the_members_generate_a_non_nilpotent_algebra():
+    """E12 and E21 are nilpotent, but E12 + E21 squares to the unit of M_2(Q),
+    so no level vanishes, and the walk stops at degree 5 instead of the cutoff."""
+    A = matrix_unit_algebra(QQ, [(1, 1), (1, 2), (2, 1), (2, 2)], unital=True)
+    start = time.perf_counter()
+    assert uniform_nil_index([unit_elt(A, "E12"), unit_elt(A, "E21")], cutoff=10**8) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_brute_force_matches_on_gf5():

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordsym.catalog import builtin_example
-from ordsym.cli import main
+from ordsym.cli import _COMMANDS, _COMMON, _dumps, _encode, _read_line, build_parser, main
 from ordsym.io import dump_description
 
 
@@ -374,3 +379,101 @@ def test_a_bad_flag_entry_is_named_by_flag_and_place(argv, where, capsys):
     """Flags are read as description files are: the entry's place, then the same wording."""
     assert main(argv) == 2
     assert capsys.readouterr().err == f"input error: {where}: bad scalar 'x'\n"
+
+
+# --- the command line read without argparse, and the report written without json
+
+FLAGS = sorted({flag for _, flags in _COMMANDS.values() for flag, _ in (*flags, *_COMMON)})
+VALUES = ["0", "3", "007", "-1", "+3", "\u0663", "1_0", " 3", "", "-h", "--help", "2,2", "GF:101", "GF:2",
+          "upper-triangular:3", "[[1,0,0,0]]", "x y", "-", "--", "9" * 5000]
+
+
+def parsed_by_argparse(argv):
+    """vars() of build_parser().parse_args(argv), or None when argparse exits (help or an error)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def words():
+    flag = st.sampled_from(FLAGS)
+    return st.one_of(
+        flag,
+        flag.map(lambda f: f[:-1] if len(f) > 3 else f),  # an abbreviation, or a bad flag
+        st.tuples(flag, st.sampled_from(VALUES)).map("=".join),
+        st.sampled_from(VALUES),
+        st.sampled_from(["-h", "--help", "--bogus", "gr"]),
+        st.text(max_size=4),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_read_line_agrees_with_argparse(data):
+    """Whenever the line is read without argparse, argparse reads the same values; never a line it rejects."""
+    command = data.draw(st.one_of(st.sampled_from(list(_COMMANDS)), st.sampled_from(["", "bogus", "-h", "--field"])))
+    own = dict((*_COMMANDS[command][1], *_COMMON)) if command in _COMMANDS else dict.fromkeys(FLAGS, {})
+    argv = [command]
+    for flag in data.draw(st.lists(st.sampled_from(sorted(own)), max_size=5, unique=data.draw(st.booleans()))):
+        argv.append(flag)
+        if own[flag].get("action") != "store_true" or data.draw(st.booleans()):
+            plain = ["0", "12", "007"] if own[flag].get("type") is int else ["2,2", "GF:101", "a.json", "x:3"]
+            argv.append(data.draw(st.one_of(st.sampled_from(plain), st.sampled_from(VALUES))))
+    for word in data.draw(st.lists(words(), max_size=2)):
+        argv.insert(data.draw(st.integers(0, len(argv))), word)
+    fast = _read_line(argv)
+    if fast is not None:
+        assert vars(fast) == parsed_by_argparse(argv), argv
+
+
+README_LINES = ["sym-poly --md 2,2", "span-dim --n 2 --m 2 --include-zero",
+                "nil-index --builtin strictly-upper-triangular:3 --field GF:5 --nmax 9",
+                "alg-degree --builtin upper-triangular:3 --unital --out r.json", "alg-bound --builtin upper-triangular:3",
+                "check-filtration --input f.json", "gr --builtin upper-triangular:5",
+                "verify-my1 --builtin upper-triangular:4 --p 1 --q 3 --seed 7",
+                "rees-integrality --builtin truncated-polynomial:4 --nmax 4 --coeffs [[0]]",
+                "iso-check --builtin exterior-algebra:3 --maxdeg 4"]
+
+
+@pytest.mark.parametrize("line", README_LINES)
+def test_well_formed_lines_are_read_without_argparse(line):
+    fast = _read_line(line.split())
+    assert fast is not None
+    assert vars(fast) == parsed_by_argparse(line.split())
+
+
+@pytest.mark.parametrize("line", ["", "-h", "gr -h", "gr --builtin", "gr --build x:3", "gr --builtin=x:3",
+                                  "gr --builtin a:1 --builtin b:2", "alg-bound --seed -1", "alg-bound --seed +3",
+                                  "alg-bound --seed \u0663", "alg-bound --seed 1_0", "sym-poly", "gr --nmax 3",
+                                  "span-dim --include-zero 1", "gr x", "bogus"])
+def test_other_lines_are_left_to_argparse(line):
+    assert _read_line(line.split()) is None
+
+
+def json_values():
+    text = st.one_of(st.text(max_size=8), st.sampled_from(["", "plain", '"', "\\", "\x7f", "\x00", "\n", "\u00e9",
+                                                           "\u2286", "\U0001f600", "a/b"]))
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(), text,
+                        st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from([-0.0, 1e-7, 1e16, 0.1, math.nan, math.inf, -math.inf, 1.5e300]))
+    keys = st.one_of(text, st.integers(), st.none(), st.booleans(), st.floats(allow_nan=False))
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple), st.lists(st.integers(), max_size=4),
+        st.dictionaries(keys, inner, max_size=4), st.dictionaries(text, inner, max_size=4),
+    ), max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values())
+def test_report_writer_is_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_report_writer_writes_every_pinned_report_itself():
+    """Each pinned report is written byte for byte as json.dumps would, without falling back to it."""
+    pins = json.loads((Path(__file__).parent / "fixtures" / "report_pins.json").read_text())
+    for pin in pins:
+        report = {**pin["report"], "timing_ms": 12.345}
+        assert _encode(report, "\n") == json.dumps(report, indent=2), pin["argv"]

@@ -5,6 +5,8 @@ not run is start-up time.  Each test runs one command in a fresh
 interpreter and lists the modules it loaded: those in sys.modules after
 `ordsym.cli.main` returned that were not there before `ordsym` was
 imported (so modules the interpreter loads at start-up do not count).
+The probe imports json only after that, to print the list, so that a
+check that loads no json is seen not to.
 """
 
 from __future__ import annotations
@@ -20,18 +22,20 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 before = set(sys.modules)
 from ordsym.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
+loaded = sorted(set(sys.modules) - before)
+import json
+print(json.dumps({"code": code, "loaded": loaded}))
 """
 
 ALGEBRA_MODULES = {"ordsym.structure", "ordsym.algebra", "ordsym.graded", "ordsym.nilbound", "ordsym.catalog", "ordsym.rees"}
 
 
-def loaded_by(*argv: str) -> set[str]:
+def loaded_by(*argv: str, code: int = 0) -> set[str]:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", PROBE, *argv],
@@ -39,7 +43,7 @@ def loaded_by(*argv: str) -> set[str]:
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert result["code"] == 0
+    assert result["code"] == code, done.stderr
     return set(result["loaded"])
 
 
@@ -107,3 +111,36 @@ def test_verify_my1_loads_the_level_walk_and_the_my1_pipeline(flag, tmp_path):
     loaded = loaded_by("verify-my1", *source(flag, tmp_path))
     assert {"ordsym.structure", "ordsym.algebra", "ordsym.graded", "ordsym.nilbound"} <= loaded
     assert not loaded & {"ordsym.rees", "ordsym.freealg"}
+
+
+PARSER_AND_JSON = {"argparse", "json", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("gr", "--builtin", "upper-triangular:3"),
+    ("nil-index", "--builtin", "upper-triangular:3"),
+    ("verify-my1", "--builtin", "upper-triangular:3"),
+    ("span-dim", "--n", "3", "--m", "2"),
+    ("sym-poly", "--md", "2,1"),
+])
+def test_a_well_formed_check_loads_no_parser_no_json_and_no_other_command(argv):
+    """main reads the line and writes the report itself, and imports its own command's module alone."""
+    loaded = loaded_by(*argv)
+    assert not loaded & PARSER_AND_JSON
+    assert {m for m in loaded if m.startswith("ordsym.commands")} == {
+        "ordsym.commands", f"ordsym.commands.{argv[0].replace('-', '_')}"}
+
+
+@pytest.mark.parametrize("argv, code", [(("gr", "--help"), 0), (("gr", "--bogus"), 2), (("--help",), 0)])
+def test_help_and_usage_errors_go_through_argparse(argv, code):
+    loaded = loaded_by(*argv, code=code)
+    assert "argparse" in loaded
+    assert "json" not in loaded
+    assert not any(m.startswith("ordsym.commands.") for m in loaded)
+
+
+def test_reading_json_loads_json(tmp_path):
+    assert "json" in loaded_by("nil-index", *source("--input", tmp_path))
+    loaded = loaded_by("rees-integrality", "--builtin", "truncated-polynomial:3", "--coeffs", "[[0, 0, 0], [0, 1, 0]]")
+    assert "json" in loaded
+    assert "argparse" not in loaded

@@ -26,12 +26,12 @@ from ordsym.algebra import (
     sym_span_in,
     uniform_nil_index,
 )
-from ordsym.catalog import builtin_example, builtin_names
+from ordsym.catalog import builtin_example, builtin_names, matrix_unit_algebra
 from ordsym.fields import Field, read_sparse
 from ordsym.graded import _adapted_basis
 from oracle import (SIZES, corrupt_stages, outcome, pull_levels, rebased, reference_adapted_basis,
                     reference_algebraic_degree, reference_sym_span_chain, reference_sym_span_in,
-                    reference_uniform_nil_index)
+                    reference_uniform_nil_index, unit_elt)
 
 FIELDS = [Field("Q"), Field("GF", 2), Field("GF", 3), Field("GF", 5), Field("GF", 101)]
 
@@ -151,3 +151,46 @@ def test_adapted_basis_matches_reference(field):
                 adapted, dims = reference_adapted_basis(base, case)
                 expected = [(p, read_sparse(field, row)) for p, row in adapted], dims
                 assert _adapted_basis(base, case) == expected, (name, seed)
+
+
+def nilpotent_matrix_tuples(n: int, algebra, rng: random.Random):
+    """Tuples of nilpotent members of M_n: some span a nilpotent algebra and
+    vanish, and some (E12 with E21) generate all of M_n and never vanish."""
+    e = {(a, b): unit_elt(algebra, f"E{a}{b}") for a in range(1, n + 1) for b in range(1, n + 1)}
+
+    def strict(upper: bool):
+        return sum((rng.randint(-2, 2) * v for (a, b), v in e.items() if (a < b if upper else a > b)),
+                   algebra.zero_element())
+
+    yield [e[1, 2]]
+    yield [e[1, 2], e[2, 1]]
+    yield [e[1, n], e[n, 1], e[1, 2]]
+    yield [strict(True), strict(True)]
+    yield [strict(True), strict(False)]
+    if n > 2:
+        yield [e[1, 2], e[2, 3]]
+        yield [e[1, 2] + e[2, 3], e[1, 3]]
+
+
+@pytest.mark.parametrize("field", [Field("Q"), Field("GF", 2), Field("GF", 3), Field("GF", 101)], ids=str)
+def test_nil_index_matches_the_walk_to_the_cutoff(field):
+    """uniform_nil_index walks no further than degree dim + 1; the reference walks
+    every level up to the cutoff.  GF(2) and GF(3) have at most dim + 1 elements
+    here, so a combination that is not nilpotent may need the algebraic closure."""
+    cases = [(name, builtin_example(name, SIZES[name], field)[0]) for name in builtin_names()]
+    for n in (2, 3):
+        cases.append((f"M_{n}", matrix_unit_algebra(field, [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)],
+                                                   unital=True)))
+    seen = set()
+    for name, algebra in cases:
+        rng = random.Random(f"cutoff/{name}/{field}")
+        tuples = seeded_tuples(name, algebra, rng) if name in SIZES else nilpotent_matrix_tuples(int(name[2:]), algebra, rng)
+        for elts in tuples:
+            for cutoff in range(1, 3 * algebra.dim + 1):
+                index = reference_uniform_nil_index(elts, cutoff)
+                assert uniform_nil_index(elts, cutoff) == index, (name, cutoff)
+                if cutoff == 3 * algebra.dim:
+                    nilpotent = all(e.nil_index(algebra.dim + 1) is not None for e in elts)
+                    seen.add("vanishes" if index is not None else "nilpotent members, never vanishes" if nilpotent
+                             else "non-nilpotent member")
+    assert seen == {"vanishes", "nilpotent members, never vanishes", "non-nilpotent member"}, seen
