@@ -37,7 +37,7 @@ from math import isfinite
 from types import SimpleNamespace
 from typing import Optional
 
-from .commands import CheckFailure
+from .commands import CheckFailure, plain_int
 from .io import InvalidAlgebraError, InvalidFiltrationError
 
 
@@ -47,10 +47,11 @@ def _flag(name: str, **options) -> tuple[str, dict]:
 
 
 # Every command that reads an algebra ends its own flags with _SOURCE, and
-# every command takes _COMMON after them.  The "builtin" action is
-# build_parser's BuiltinOption; a well-formed line stores the value as given.
+# every command takes _COMMON after them.  --builtin has no help here:
+# build_parser writes it from the catalog, which a check on a description
+# file never imports.
 _ELEMENTS = _flag("--elements", help="JSON list of coordinate vectors (default: basis)")
-_SOURCE = (_flag("--input", help="algebra description file (JSON)"), _flag("--builtin", action="builtin"))
+_SOURCE = (_flag("--input", help="algebra description file (JSON)"), _flag("--builtin"))
 _COMMON = (
     _flag("--field", help="field override: Q or GF:p"),
     _flag("--seed", type=int, default=0, help="seed for sampled checks"),
@@ -87,43 +88,23 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None):
-    """Every command with its help, but the flags of `command` only (of all when it names none)."""
+def build_parser():
+    """The argparse parser: every command with all its flags, and --builtin's help naming the builtins."""
     import argparse
 
-    class BuiltinOption(argparse.Action):
-        """--builtin NAME:PARAM, stored as given.
+    from .catalog import builtin_names
 
-        Its help lists the catalog's builtin names, and is read only when help
-        is printed, so that parsing a command line does not import the catalog.
-        """
-
-        def __call__(self, parser, namespace, values, option_string=None):
-            setattr(namespace, self.dest, values)
-
-        @property
-        def help(self) -> str:
-            from .catalog import builtin_names
-
-            return f"builtin NAME:PARAM; names: {', '.join(builtin_names())}"
-
-        @help.setter
-        def help(self, value) -> None:
-            """argparse.Action.__init__ stores help=None; the property above stands instead."""
-
+    builtin_help = {"help": f"builtin NAME:PARAM; names: {', '.join(builtin_names())}"}
     parser = argparse.ArgumentParser(
         prog="ordsym",
         description="Exact checks for order-symmetric spans, nil/algebraic bounds, "
         "and filtered/graded/Rees constructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    every = command not in _COMMANDS
     for name, (help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if every or name == command:
-            p.register("action", "builtin", BuiltinOption)
-            for flag, options in (*flags, *_COMMON):
-                p.add_argument(flag, **options)
+        for flag, options in (*flags, *_COMMON):
+            p.add_argument(flag, **(builtin_help if flag == "--builtin" else options))
     return parser
 
 
@@ -152,11 +133,8 @@ def _read_line(argv) -> Optional[SimpleNamespace]:
         if value.startswith("-"):
             return None
         if options.get("type") is int:
-            if not (value.isascii() and value.isdigit()):
-                return None
-            try:
-                value = int(value)
-            except ValueError:  # more digits than int() converts
+            value = plain_int(value)
+            if value is None:
                 return None
         given[flag] = value
     if any(options.get("required") and flag not in given for flag, options in flags.items()):
@@ -226,7 +204,7 @@ def main(argv=None) -> int:
     args = _read_line(argv)
     if args is None:
         try:
-            args = build_parser(argv[0] if argv else None).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as e:
             code = e.code if isinstance(e.code, int) else 2
             return 0 if code == 0 else 2
@@ -252,7 +230,7 @@ def main(argv=None) -> int:
         "timing_ms": round((time.perf_counter() - start) * 1000.0, 3),
     }
     text = _dumps(report) + "\n"
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

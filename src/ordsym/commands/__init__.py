@@ -37,9 +37,19 @@ class FiltrationFailure(CheckFailure):
         self.report = report
 
 
+def plain_int(text: str) -> Optional[int]:
+    """text as an int when it is ASCII digits only (no sign, space or _) that int() converts, else None."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def field_of(args) -> Field:
     """The --field override, or Q."""
-    return field_make(args.field) if args.field else QQ
+    return QQ if args.field is None else field_make(args.field)
 
 
 def load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Optional[Filtration]]:
@@ -51,22 +61,23 @@ def load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Optiona
     filtration is built and graded stays unloaded.  A broken law raises
     CheckFailure.
     """
+    if args.builtin is not None and args.input is not None:
+        raise InputError("give --input FILE or --builtin NAME:PARAM, not both")
     field = field_of(args)
-    if args.builtin:
+    if args.builtin is not None:
         name, sep, param = args.builtin.partition(":")
         if not sep:
             raise InputError(f"--builtin expects NAME:PARAM, got {args.builtin!r}")
-        try:
-            size = int(param)
-        except ValueError:
-            raise InputError(f"builtin parameter must be an integer, got {param!r}") from None
+        size = plain_int(param)
+        if size is None:
+            raise InputError(f"builtin parameter must be an integer, got {param!r}")
         from .. import catalog
 
         if need_filtration:
             return catalog.builtin_example(name, size, field)
         return catalog.builtin_algebra(name, size, field), None
-    if args.input:
-        algebra, chain = load_path(args.input, field_override=field if args.field else None)
+    if args.input is not None:
+        algebra, chain = load_path(args.input, field_override=None if args.field is None else field)
         report = algebra.validate()
         if not report.ok:
             raise CheckFailure({"algebra_valid": False, "detail": report.describe()})

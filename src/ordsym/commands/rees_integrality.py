@@ -32,7 +32,7 @@ def run(args):
     from ..rees import ReesElement, integral_power_in_x_ideal, integral_witness
 
     algebra, filtration = load(args, need_filtration=True)
-    if args.coeffs:
+    if args.coeffs is not None:
         coeffs = vectors("--coeffs", args.coeffs, algebra, "a JSON list of coefficient vectors")
         element = ReesElement.make(filtration, coeffs)
     else:

@@ -4,16 +4,13 @@ from __future__ import annotations
 
 from ..fields import raw_to_json
 from ..io import InputError
-from . import CheckFailure, field_of
+from . import CheckFailure, field_of, plain_int
 
 
 def _parse_md(text: str) -> tuple[int, ...]:
-    try:
-        md = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise InputError(f"--md expects comma-separated integers, got {text!r}") from None
-    if not md or any(i < 0 for i in md):
-        raise InputError("--md entries must be nonnegative")
+    md = tuple(map(plain_int, text.split(",")))
+    if None in md:
+        raise InputError(f"--md expects comma-separated integers, got {text!r}")
     return md
 
 

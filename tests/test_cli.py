@@ -196,7 +196,8 @@ def test_out_file_written(tmp_path):
 
 
 def test_exit_2_on_unwritable_out(tmp_path, capsys):
-    for out in (tmp_path / "missing" / "r.json", tmp_path):  # a missing directory, and a directory
+    # a missing directory, a directory, and an empty path (a given --out is never stdout)
+    for out in (tmp_path / "missing" / "r.json", tmp_path, ""):
         assert main(["span-dim", "--n", "2", "--m", "2", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("input error: ")
@@ -329,6 +330,37 @@ def test_check_filtration_without_filtration_is_input_error(tmp_path, capsys):
 def test_exit_2_on_out_of_range_values(argv, capsys):
     assert main(argv) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # both sources, or a given but empty source, flag or field
+        (["gr", "--builtin", "upper-triangular:2", "--input", "/nonexistent.json"],
+         "give --input FILE or --builtin NAME:PARAM, not both"),
+        (["gr", "--builtin", "", "--input", "/nonexistent.json"],
+         "give --input FILE or --builtin NAME:PARAM, not both"),
+        (["gr", "--input", "", "--builtin", "upper-triangular:2"],
+         "give --input FILE or --builtin NAME:PARAM, not both"),
+        (["gr", "--builtin", ""], "--builtin expects NAME:PARAM, got ''"),
+        (["nil-index", "--builtin", "upper-triangular:2", "--field", ""], "unknown field descriptor ''"),
+        (["sym-poly", "--md", "2", "--field", ""], "unknown field descriptor ''"),
+        (["rees-integrality", "--builtin", "truncated-polynomial:3", "--coeffs", ""], "--coeffs: Expecting value"),
+        # a size is ASCII digits only
+        (["nil-index", "--builtin", "upper-triangular:\u0663"], "builtin parameter must be an integer, got '\u0663'"),
+        (["nil-index", "--builtin", "upper-triangular:1_0"], "builtin parameter must be an integer, got '1_0'"),
+        (["nil-index", "--builtin", "upper-triangular: 3"], "builtin parameter must be an integer, got ' 3'"),
+        (["nil-index", "--builtin", "upper-triangular:+3"], "builtin parameter must be an integer, got '+3'"),
+        (["nil-index", "--builtin", "upper-triangular:-3"], "builtin parameter must be an integer, got '-3'"),
+        (["sym-poly", "--md", "\u0662,1"], "--md expects comma-separated integers, got '\u0662,1'"),
+        (["sym-poly", "--md", " 2,1"], "--md expects comma-separated integers, got ' 2,1'"),
+        (["sym-poly", "--md=-1,2"], "--md expects comma-separated integers, got '-1,2'"),
+    ],
+)
+def test_exit_2_on_a_malformed_value_of_a_given_flag(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {message}\n"
 
 
 def test_a_huge_nmax_stops_at_a_non_nilpotent_member(capsys):

@@ -108,8 +108,8 @@ def test_help_output_is_unchanged(command, monkeypatch, capsys):
 def test_usage_errors_are_unchanged(line, monkeypatch, capsys):
     """Exit code and stderr of a bad command line, pinned on the Python they were recorded with.
 
-    On every Python, the parser main builds, with the flags of the named
-    command only, fails exactly as the parser with every command's flags.
+    On every Python, main fails exactly as build_parser().parse_args does,
+    since it hands every line it does not read itself to that one parser.
     """
     monkeypatch.setenv("COLUMNS", "80")
     pin = ERROR_PINS["errors"][line]
