@@ -9,6 +9,7 @@ command loads only the modules it runs (see cli).
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Optional
 
 from ..fields import QQ, Field, field_make
@@ -102,6 +103,8 @@ def vectors(flag: str, text: str, algebra: StructureAlgebra, expects: str, nonem
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{flag}: {e.msg}") from None
+    except ValueError:  # an integer longer than int() converts
+        raise InputError(f"{flag}: a JSON integer has more than {sys.get_int_max_str_digits()} digits") from None
     if not isinstance(data, list) or (nonempty and not data):
         raise InputError(f"{flag} expects {expects}")
     return [read_vector(algebra.field, algebra.dim, vec, f"{flag}[{i}]") for i, vec in enumerate(data)]

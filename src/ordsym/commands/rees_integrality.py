@@ -46,7 +46,7 @@ def run(args):
     }
     if witness is None:
         return "indeterminate", {"nmax": args.nmax, "seed": args.seed}, results
-    if element.is_zero() or element.coeff(0).is_zero():
+    if element.coeff(0).is_zero():
         membership = integral_power_in_x_ideal(element, witness.degree)
         results["power_exponent"] = membership.exponent
         results["power_in_x_ideal"] = membership.ok

@@ -39,10 +39,14 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _CERTIFIED_BELOW = 318665857834031151167461
 
 
+def _too_large(n) -> ValueError:
+    return ValueError(f"prime-field modulus {n} is too large: primality is certified only below {_CERTIFIED_BELOW}")
+
+
 def _is_prime(n: int) -> bool:
     """Whether n is prime, proven by Miller-Rabin over _BASES; ValueError when n >= psi_12."""
     if n >= _CERTIFIED_BELOW:
-        raise ValueError(f"prime-field modulus {n} is too large: primality is certified only below {_CERTIFIED_BELOW}")
+        raise _too_large(n)
     if n < 2:
         return False
     for a in _BASES:
@@ -252,7 +256,8 @@ def field_make(descriptor: Descriptor) -> Field:
     A dict's modulus must be a JSON integer, not a float, string or bool,
     and a string's must be ASCII decimal digits only (no sign, space or _).
     Rejects a composite modulus, naming a factor when one is at most 37,
-    and any modulus from psi_12 = 318665857834031151167461 up, uncertified.
+    and any modulus from psi_12 = 318665857834031151167461 up, uncertified;
+    a string with more significant digits than psi_12 is rejected unread.
     """
     if isinstance(descriptor, Field):
         return descriptor
@@ -261,7 +266,11 @@ def field_make(descriptor: Descriptor) -> Field:
             return QQ
         modulus = descriptor[3:]
         if descriptor.startswith("GF:") and modulus.isascii() and modulus.isdigit():
-            return Field("GF", int(modulus))
+            digits = modulus.lstrip("0") or "0"
+            # int() refuses more than sys.get_int_max_str_digits() digits
+            if len(digits) > len(str(_CERTIFIED_BELOW)):
+                raise _too_large(digits)
+            return Field("GF", int(digits))
         raise ValueError(f"unknown field descriptor {descriptor!r}")
     if isinstance(descriptor, dict):
         kind = descriptor.get("kind")

@@ -30,6 +30,7 @@ modules that raise them; algebra and graded re-export their own.
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .fields import Field, field_make, field_to_json, raw_from_json, raw_to_json
@@ -189,9 +190,13 @@ def load_path(path: str, field_override: Optional[Field] = None):
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
     except OSError as e:
-        raise InputError(f"{path}: {e}") from None
+        raise InputError(f"{path or repr(path)}: {e}") from None  # quoted when empty, so the message starts with a name
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except ValueError:  # an integer longer than int() converts
+        raise InputError(f"{path}: a JSON integer has more than {sys.get_int_max_str_digits()} digits") from None
     return load_description(doc, field_override=field_override)

@@ -11,9 +11,10 @@ polynomials q_i; q_0 multiplies the identity and is forced to zero in a
 non-unital algebra.  A witness is one exact solve, linalg.solve_raw, on the
 sparse raw rows of the system; only the q_i it returns are Scalars.  When a
 Rees element with zero constant coefficient and top x-degree m is integral
-of degree n, its power N = m*(n-1)+1 lands in the ideal xR, which makes
-the graded class nilpotent.  xR asks the x^e-coefficient to lie one stage
-lower, a condition only for e <= t, so the power check truncates at t.
+of degree n, its power N = m*(n-1)+1 lands in xR, which makes the graded
+class nilpotent.  x is central, so xR is a two-sided ideal and the power
+check stops at the least power in it.  xR asks the x^e-coefficient to lie
+one stage lower, a condition only for e <= t, so the check truncates at t.
 """
 
 from __future__ import annotations
@@ -243,30 +244,29 @@ class PowerMembership(Record):
 def integral_power_in_x_ideal(a: ReesElement, n: int) -> PowerMembership:
     """Certify a^(m*(n-1)+1) in xR for a constant-term-free integral element.
 
-    m is the top x-degree of a and n its integrality degree.  Also reports
-    the least exponent that already lies in xR.  Raises when a has a
-    nonzero constant coefficient.  Powers are kept up to x-degree t, the
-    top of the filtration, which is exact: their x^e-coefficients for e <= t
-    read only factor coefficients of x-degree <= t, and for e > t F_{e-1} is
-    F_t, the whole algebra.
+    m is the top x-degree of a and n its integrality degree; raises when a
+    has a nonzero constant coefficient.  As xR is an ideal, powers are
+    multiplied out only up to the first in xR, the least exponent, each one
+    scanned once for its first x^e-coefficient outside F_{e-1}, the witness.
+    Powers stop at x^t, t the top of the filtration, exactly: the x^e-terms
+    for e <= t read only factors of x-degree <= t, and F_{e-1} = F_t beyond.
     """
-    if not a.is_zero() and not a.coeff(0).is_zero():
+    if not a.coeff(0).is_zero():
         raise ValueError("element has a nonzero constant coefficient")
     if n < 1:
         raise ValueError("integrality degree must be >= 1")
     exponent = max(a.degree, 1) * (n - 1) + 1
     filtration = a.filtration
     size = filtration.top + 1
-    least: Optional[int] = None
-    p = ReesElement(filtration, a.coeffs[:size])
+    power = factor = a.coeffs[:size]
     for k in range(1, exponent + 1):
-        if least is None and p.in_x_ideal():
-            least = k
+        bad = next((e for e, c in enumerate(power) if not filtration.stage(e - 1).contains_raw(c._raw)), None)
+        if bad is None:
+            return PowerMembership(ok=True, exponent=exponent, least_exponent=k)
         if k < exponent:
-            p = ReesElement(filtration, _ax_mul(p.coeffs, a.coeffs, filtration.algebra, size))
-    bad = next((e for e, c in enumerate(p.coeffs) if not filtration.stage(e - 1).contains_raw(c._raw)), None)
-    witness = None if bad is None else {"power": exponent, "x_degree": bad}
-    return PowerMembership(ok=bad is None, exponent=exponent, least_exponent=least, witness=witness)
+            power = _ax_mul(power, factor, filtration.algebra, size)
+    return PowerMembership(ok=False, exponent=exponent, least_exponent=None,
+                           witness={"power": exponent, "x_degree": bad})
 
 
 class IsoReport(Record):

@@ -442,3 +442,28 @@ def test_fraction_scales_an_element_from_either_side(field):
             e * Fraction(1, 7)
         with pytest.raises(ZeroDivisionError):
             Fraction(3, 14) * e
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 2), Field("GF", 3), Field("GF", 101)], ids=repr)
+def test_power_of_a_sum_is_the_sum_of_its_symmetric_values(field):
+    """(a_1 + ... + a_m)^N is the sum of the values of every profile of total N.
+
+    So once the degree-N symmetric span is zero, so is the N-th power of
+    every sum of the elements: what verify_graded_nil_index relies on.
+    """
+    rng = random.Random(47)
+    for name, param in [("upper-triangular", 3), ("truncated-polynomial", 5), ("exterior-algebra", 3)]:
+        A = builtin_example(name, param, field)[0]
+        for _ in range(3):
+            elts = [A.element([rng.randint(-3, 3) for _ in range(A.dim)]) for _ in range(rng.randint(1, 3))]
+            total = A.zero_element()
+            for e in elts:
+                total = total + e
+            values = sym_values(elts, 4)
+            power = total
+            for n in range(1, 5):
+                expected = A.zero_element()
+                for md in multidegrees(n, len(elts)):
+                    expected = expected + values[md]
+                assert power == expected, (name, n)
+                power = power * total

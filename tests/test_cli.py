@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,57 @@ def test_exit_2_on_a_modulus_not_certified_prime(modulus, message, capsys):
     assert main(["nil-index", "--builtin", "strictly-upper-triangular:3", "--field", f"GF:{modulus}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+def test_exit_2_on_a_modulus_longer_than_int_converts(capsys):
+    """5,000 digits: more than psi_12 has, so the modulus is rejected before int() reads it."""
+    nines = "9" * 5000
+    assert main(["nil-index", "--builtin", "upper-triangular:2", "--field", f"GF:{nines}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"input error: prime-field modulus {nines} is too large: "
+        "primality is certified only below 318665857834031151167461\n"
+    )
+
+
+def test_leading_zeros_of_a_modulus_are_not_digits_that_count(capsys):
+    argv = ["nil-index", "--builtin", "upper-triangular:2", "--field"]
+    code, padded = run([*argv, "GF:" + "0" * 5000 + "7"], capsys)
+    _, plain = run([*argv, "GF:7"], capsys)
+    del padded["timing_ms"], plain["timing_ms"]
+    assert code == 0 and padded == plain
+
+
+needs_int_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python converts integers of any length"
+)
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize("command, flag", [("nil-index", "--elements"), ("rees-integrality", "--coeffs")])
+def test_exit_2_on_a_json_integer_longer_than_int_converts(command, flag, capsys):
+    vector = "[" + "9" * 5000 + ", 0, 0]"
+    argv = [command, "--builtin", "truncated-polynomial:3", flag, f"[{vector}]"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert captured.out == "" and captured.err == f"input error: {flag}: a JSON integer has more than {limit} digits\n"
+
+
+@needs_int_digit_limit
+def test_exit_2_on_a_description_integer_longer_than_int_converts(tmp_path, capsys):
+    path = tmp_path / "long-modulus.json"
+    path.write_text('{"field": {"kind": "GF", "p": %s}, "dim": 1, "basis": ["a"], "mul": []}' % ("9" * 5000))
+    assert main(["gr", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert captured.out == "" and captured.err == f"input error: {path}: a JSON integer has more than {limit} digits\n"
+
+
+def test_exit_2_on_an_empty_input_path_quotes_it(capsys):
+    assert main(["gr", "--input", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: '': [Errno 2] No such file or directory: ''\n"
 
 
 def test_exit_2_on_a_gf_description_without_modulus(tmp_path, capsys):

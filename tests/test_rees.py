@@ -1,9 +1,13 @@
+import contextlib
+import io
 import random
 
 import pytest
 
+from ordsym import rees
 from ordsym.algebra import StructureAlgebra
 from ordsym.catalog import builtin_example
+from ordsym.cli import main
 from ordsym.fields import QQ, Field
 from ordsym.graded import GradedAlgebra, associated_graded
 from ordsym.rees import (
@@ -233,7 +237,7 @@ def test_iso_check_over_prime_fields():
             assert report.ok, (name, param, p, report.failures)
 
 
-@pytest.mark.parametrize("field", [QQ, Field("GF", 2), Field("GF", 101)], ids=repr)
+@pytest.mark.parametrize("field", [QQ, Field("GF", 2), Field("GF", 3), Field("GF", 101)], ids=repr)
 def test_truncated_power_check_matches_the_full_powers(field):
     rng = random.Random(41)
     for name, param in [("truncated-polynomial", 4), ("truncated-polynomial", 6), ("upper-triangular", 4),
@@ -256,3 +260,49 @@ def test_truncated_power_check_matches_the_full_powers(field):
         assert out.witness == {"power": exponent, "x_degree": x_degree}
     assert integral_power_in_x_ideal(a, 3) == power_membership_reference(a, 3)
     assert integral_power_in_x_ideal(a, 3).least_exponent == 4
+
+
+def counting(monkeypatch, owner, name):
+    """Wrap owner.name so that each call is counted; returns the list of counts."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 3)], ids=repr)
+def test_power_check_stops_at_the_least_power_in_x_ideal(field, monkeypatch):
+    """xR is an ideal: no power past the least one in xR is multiplied out, and no power is a ReesElement."""
+    rng = random.Random(43)
+    cases = []
+    for name, param in [("truncated-polynomial", 6), ("upper-triangular", 4), ("exterior-algebra", 3)]:
+        A, F = builtin_example(name, param, field)
+        for _ in range(3):
+            a = ReesElement(F, [A.zero_element()] + [stage_element(F, n, rng) for n in range(1, F.top + 1)])
+            for n in (2, 4):
+                cases.append((a, n, power_membership_reference(a, n)))
+    products = counting(monkeypatch, rees, "_ax_mul")
+    built = counting(monkeypatch, ReesElement, "__init__")
+    stops_early = 0
+    for a, n, expected in cases:
+        products[0] = 0
+        assert integral_power_in_x_ideal(a, n) == expected
+        least = expected.least_exponent
+        assert products[0] == (least if expected.ok else expected.exponent) - 1
+        stops_early += expected.ok and least < expected.exponent
+    assert built[0] == 0 and stops_early
+
+
+def test_rees_integrality_multiplies_only_up_to_the_least_power(monkeypatch):
+    """truncated-polynomial:9: 8 products in the witness search and 8 in the power check (least power 9)."""
+    products = counting(monkeypatch, rees, "_ax_mul")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["rees-integrality", "--builtin", "truncated-polynomial:9", "--nmax", "9"]) == 0
+    assert '"least_power_in_x_ideal": 9' in out.getvalue() and '"power_exponent": 65' in out.getvalue()
+    assert products[0] == 16

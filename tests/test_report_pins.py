@@ -54,6 +54,12 @@ SPAN_CERTIFY = [
 # The largest integrality systems over Q, where the intermediate entries of
 # an elimination can grow far beyond those of its echelon form.
 GROWTH = [(["rees-integrality", "--builtin", "truncated-polynomial:6", "--nmax", "6"], ("Q", "GF:101"))]
+# Failing verify-my1 reports: a pinned --d below the algebraic degree gives
+# a bound N at which every tested symmetric span is still nonzero.
+FAILING_VERIFY = [
+    (["verify-my1", "--builtin", "upper-triangular:4", "--d", "1"], ("Q", "GF:101")),
+    (["verify-my1", "--builtin", "truncated-polynomial:6", "--d", "2", "--q", "2"], ("Q", "GF:101")),
+]
 FILTRATION_COMMANDS = ["check-filtration", "gr", "verify-my1", "rees-integrality", "iso-check"]
 CORRUPTED_COMMANDS = ["gr", "verify-my1", "iso-check", "rees-integrality", "nil-index"]
 
@@ -92,7 +98,7 @@ def pinned_runs() -> list[list[str]]:
         for n, m in SPAN_DIMS:
             runs.append(["span-dim", "--n", n, "--m", m, "--field", field])
             runs.append(["span-dim", "--n", n, "--m", m, "--include-zero", "--field", field])
-    for argv, fields in SPAN_CERTIFY + GROWTH:
+    for argv, fields in SPAN_CERTIFY + GROWTH + FAILING_VERIFY:
         runs.extend([*argv, "--field", field] for field in fields)
     return runs
 
