@@ -1,28 +1,29 @@
-"""Evaluation, the first-letter level walk, and the nil and algebraicity searches on it.
+"""The first-letter level walk, and the nil and algebraicity searches on it.
 
 The algebra core (StructureAlgebra, AlgElement, ValidationReport, Record)
 lives in structure and is imported back here, so ordsym.algebra names it
 too; a check that reads only a filtration loads structure and not this
 module.
 
-Evaluation of free polynomials, the degreewise spans of order-symmetric
-values, nil-index and algebraicity-degree searches all live here.  The
-degreewise spans are computed by the first-letter recursion
+The degreewise spans of order-symmetric values, nil-index and
+algebraicity-degree searches all live here.  The degreewise spans are
+computed by the first-letter recursion
 
     s[profile] = sum_j  a_j * s[profile - e_j]
 
 (proved and property-tested in the free algebra, transported here by the
 evaluation homomorphism), which is exponentially cheaper than expanding
 the symmetric sums word by word.  One level walk, _nonzero_levels, runs it
-for sym_values, sym_span_in, sym_span_chain and uniform_nil_index.  It
-pushes each nonzero value of a level into the profiles above it, so a
-level holds only its nonzero values, and the walk ends at the first empty
-level.  Each value of the walk is one linalg.combine of the product terms
-that StructureAlgebra.products lists.
+for sym_span_in, sym_span_chain and uniform_nil_index, and for
+evaluation.sym_values.  It pushes each nonzero value of a level into the
+profiles above it, so a level holds only its nonzero values, and the walk
+ends at the first empty level.  Each value of the walk is one
+linalg.combine of the product terms that StructureAlgebra.products lists.
 
-Only sym_values reads the free algebra (for the order of its profiles),
-and it imports freealg when called; evaluate names FreePoly in its
-annotation alone.  So no command that reads an algebra loads freealg.
+evaluate and sym_values, which no command runs, live in evaluation and
+are resolved here on first use (PEP 562), so ordsym.algebra.evaluate is
+still the same object and a check compiles neither.  Nothing here reads
+the free algebra, so no command that reads an algebra loads freealg.
 """
 
 from __future__ import annotations
@@ -30,14 +31,11 @@ from __future__ import annotations
 import random
 from itertools import islice, product
 from math import comb
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .io import InvalidAlgebraError
+from .errors import InvalidAlgebraError
 from .linalg import Subspace, combine
 from .structure import AlgElement, Record, StructureAlgebra, ValidationReport
-
-if TYPE_CHECKING:
-    from .freealg import FreePoly
 
 __all__ = [
     "ValidationReport",
@@ -57,45 +55,14 @@ __all__ = [
 ]
 
 
-def evaluate(p: FreePoly, assignment: Sequence[AlgElement]) -> AlgElement:
-    """Image of a free polynomial under generator j -> assignment[j-1]: one combine of (coefficient, word value)."""
-    if not assignment:
-        raise ValueError("empty assignment")
-    if len(assignment) != p.ngens:
-        raise ValueError(f"assignment length {len(assignment)} != arity {p.ngens}")
-    algebra = assignment[0].algebra
-    if any(e.algebra is not algebra for e in assignment):
-        raise ValueError("assignment mixes algebras")
-    if p.field != algebra.field:
-        raise ValueError("polynomial and algebra fields differ")
-    terms = []
-    for word, c in p._terms.items():
-        v = assignment[word[0] - 1]._raw if word else algebra.unit_element()._raw  # raises without a unit
-        for letter in word[1:]:
-            v = algebra.product(v, assignment[letter - 1]._raw)
-        terms.append((c, v))
-    return AlgElement.from_raw(algebra, combine(algebra.field, terms))
+def __getattr__(name: str):
+    """evaluate or sym_values (no other name reaches here), loaded from evaluation on first use."""
+    if name not in ("evaluate", "sym_values"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import evaluation
 
-
-def sym_values(elts: Sequence[AlgElement], max_total: int) -> dict[tuple[int, ...], AlgElement]:
-    """Values of every order-symmetric sum of total degree 1..max_total.
-
-    Computed by the first-letter recursion, one algebra multiplication per
-    lattice edge out of a nonzero value; agrees with
-    evaluate(sym_poly(profile), elts) everywhere (tested), but stays
-    polynomial in the degree.  Every profile is returned, degree by degree
-    in multidegrees order, the ones the walk leaves out as zero.
-    """
-    from .freealg import multidegrees
-
-    levels = _nonzero_levels(elts)
-    zero = elts[0].algebra.zero_element()
-    vals: dict[tuple[int, ...], AlgElement] = {}
-    for total in range(1, max_total + 1):
-        level = next(levels, {})
-        for md in multidegrees(total, len(elts)):
-            vals[md] = level.get(md, zero)
-    return vals
+    value = globals()[name] = getattr(evaluation, name)
+    return value
 
 
 def _level_values(

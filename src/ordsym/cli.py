@@ -18,14 +18,17 @@ alone.  The report is written by _dumps, which gives json.dumps(report,
 indent=2) byte for byte; json is loaded only to read JSON (a description
 file, --elements, --coeffs) or for a report value _dumps does not write.
 
-Every command loads cli, io, fields, the commands package and its own
-module there; then
+Every command loads cli, errors, fields, the commands package and its
+own module there, and io only to read JSON (--input, --elements,
+--coeffs); then
 
 - span-dim and sym-poly load freealg and linalg, and no algebra;
 - the other commands load structure and linalg (and catalog on --builtin)
   and never freealg.  nil-index, alg-degree and alg-bound add algebra, the
   level walk; check-filtration and gr add graded, and the Rees commands
   graded and rees; verify-my1 adds graded, algebra and nilbound.
+
+No command loads evaluation, the evaluation-at-points route.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .commands import CheckFailure, plain_int
-from .io import InvalidAlgebraError, InvalidFiltrationError
+from .errors import InvalidAlgebraError, InvalidFiltrationError
 
 
 def _flag(name: str, **options) -> tuple[str, dict]:

@@ -4,7 +4,8 @@ run returns (status, params, results) or raises CheckFailure, and
 cli.main writes the report.  main imports the module of the command it
 runs and no other, so a check compiles its own command's body and the
 helpers below.  Each run imports what it needs inside its body, so a
-command loads only the modules it runs (see cli).
+command loads only the modules it runs (see cli); io is imported only
+to read JSON, a description file or a vector flag.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING, Optional
 
+from ..errors import InputError, InvalidFiltrationError
 from ..fields import QQ, Field, field_make
-from ..io import InputError, InvalidFiltrationError, load_path, read_vector
 
 if TYPE_CHECKING:
     from ..graded import Filtration
@@ -78,6 +79,8 @@ def load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Optiona
             return catalog.builtin_example(name, size, field)
         return catalog.builtin_algebra(name, size, field), None
     if args.input is not None:
+        from ..io import load_path
+
         algebra, chain = load_path(args.input, field_override=None if args.field is None else field)
         report = algebra.validate()
         if not report.ok:
@@ -98,6 +101,8 @@ def load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Optiona
 def vectors(flag: str, text: str, algebra: StructureAlgebra, expects: str, nonempty: bool = False) -> list:
     """The raw coordinate vectors of a JSON list flag, each read by io.read_vector."""
     import json
+
+    from ..io import read_vector
 
     try:
         data = json.loads(text)

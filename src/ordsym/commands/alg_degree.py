@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..io import InputError
+from ..errors import InputError
 from . import elements, load
 
 

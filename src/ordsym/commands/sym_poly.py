@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..fields import raw_to_json
-from ..io import InputError
+from ..errors import InputError
 from . import CheckFailure, field_of, plain_int
 
 

@@ -14,9 +14,10 @@ sparse raw vectors, stored once: GradedAlgebra.adapted, the adapted basis
 as Scalars, is a view wrapped on first read.
 
 This module reads only the algebra core of structure.  The MY1 pipeline,
-the last five names of __all__, lives in nilbound and is resolved here on
-first use (PEP 562), so check-filtration, gr and the Rees commands load
-neither it nor the level walk of algebra.
+the last five names of __all__, lives in nilbound (its weight check in
+evaluation, which nilbound forwards to) and is resolved here on first use
+(PEP 562), so check-filtration, gr and the Rees commands load neither it
+nor the level walk of algebra.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .fields import dense_scalars, read_sparse
-from .io import InvalidFiltrationError
+from .errors import InvalidFiltrationError
 from .linalg import Subspace, inverse_rows, times
 from .structure import AlgElement, Coords, Record, StructureAlgebra, ValidationReport
 

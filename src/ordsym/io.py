@@ -23,9 +23,10 @@ constant in the requested field, so one fixture can exercise both Q and a
 small prime field.  A filtration comes back as a Chain of stages that no
 law has checked, so reading a description loads no graded.
 
-The error classes of the command line live here too, so that a command
-can tell a failed check from malformed input without importing the
-modules that raise them; algebra and graded re-export their own.
+Only a check that reads JSON (--input, --elements, --coeffs) loads this
+module.  The error classes of the command line live in errors; io
+re-exports them, so ordsym.io.InputError and the others are the same
+objects.
 """
 
 from __future__ import annotations
@@ -33,33 +34,14 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
+from .errors import InputError, InvalidAlgebraError, InvalidFiltrationError  # noqa: F401  (the last two re-exported)
 from .fields import Field, field_make, field_to_json, raw_from_json, raw_to_json
 
 if TYPE_CHECKING:
     from .linalg import Subspace
-    from .structure import StructureAlgebra, ValidationReport
+    from .structure import StructureAlgebra
 
 __all__ = ["InputError", "Chain", "read_vector", "load_description", "dump_description", "load_path"]
-
-
-class InputError(ValueError):
-    """Malformed description document; message carries a location."""
-
-
-class InvalidAlgebraError(ValueError):
-    """A structure tensor broke an algebra law; carries the ValidationReport."""
-
-    def __init__(self, report: ValidationReport):
-        super().__init__(report.describe())
-        self.report = report
-
-
-class InvalidFiltrationError(ValueError):
-    """A chain broke a filtration law; carries the ValidationReport."""
-
-    def __init__(self, report: ValidationReport):
-        super().__init__(report.describe())
-        self.report = report
 
 
 class Chain(NamedTuple):
@@ -193,6 +175,8 @@ def load_path(path: str, field_override: Optional[Field] = None):
             text = fh.read()
     except OSError as e:
         raise InputError(f"{path or repr(path)}: {e}") from None  # quoted when empty, so the message starts with a name
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

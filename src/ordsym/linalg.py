@@ -1,4 +1,4 @@
-"""Exact linear algebra over a Field: echelon bases, spans, Vandermonde recovery.
+"""Exact linear algebra over a Field: echelon bases, spans, and the raw solvers.
 
 A Subspace is held as its reduced row-echelon basis, which is a canonical
 form: two subspaces are equal iff their bases are identical.  Plain
@@ -9,20 +9,21 @@ Vectors are sparse raw rows {index: raw value} (see fields).  There is one
 sum of them, combine, which element arithmetic, the graded and Rees layers
 and elimination use, and one elimination: a Subspace takes rows one at a
 time into its basis, pivot column -> that row's non-pivot entries, the
-canonical form of the rows read so far.  rref, the raw solvers
-inverse_rows and solve_raw, and the Vandermonde recovery build a Subspace.
-The dense entry points, rref and the Subspace methods that take a vector
-of Scalars, are adapters: they read Scalars through fields.read_sparse and
-wrap what they return.
+canonical form of the rows read so far.  rref and the raw solvers
+inverse_rows and solve_raw build a Subspace.  The dense entry points, rref
+and the Subspace methods that take a vector of Scalars, are adapters: they
+read Scalars through fields.read_sparse and wrap what they return.
+
+The Vandermonde recovery, which no command runs, lives in evaluation and
+is resolved here on first use (PEP 562), so ordsym.linalg names it still.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Sequence
 
-from .fields import Field, Scalar, canonical_rational, dense_scalars, raw_value, read_sparse
+from .fields import Field, Scalar, canonical_rational, dense_scalars, read_sparse
 
 __all__ = [
     "Subspace",
@@ -33,6 +34,16 @@ __all__ = [
 
 Vector = tuple[Scalar, ...]
 Raw = dict  # sparse raw row {index: nonzero canonical raw value}
+
+
+def __getattr__(name: str):
+    """vandermonde_recover or multi_vandermonde_recover (no other name reaches here), loaded from evaluation on first use."""
+    if name not in ("vandermonde_recover", "multi_vandermonde_recover"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import evaluation
+
+    value = globals()[name] = getattr(evaluation, name)
+    return value
 
 
 def combine(field: Field, terms: Iterable[tuple[object, Raw]]) -> Raw:
@@ -239,71 +250,3 @@ def solve_raw(field: Field, n: int, rows: Iterable[Raw]) -> Raw | None:
     if n in basis:
         return None
     return {c: x for c, row in basis.items() if (x := row.get(n))}
-
-
-def vandermonde_recover(xis: Sequence[Scalar], ws: Sequence[Sequence[Scalar]]) -> list[Vector]:
-    """Invert the evaluation map sum_i xi_j^i v_i = w_j at d+1 distinct points.
-
-    Given the d+1 evaluations ws, returns the coefficient vectors v_0..v_d.
-    The matrix (xi_j^i) is Vandermonde, invertible exactly when the points
-    are distinct; repeated points are rejected up front.
-    """
-    if not xis:
-        raise ValueError("need at least one evaluation point")
-    if len(set(xis)) != len(xis):
-        raise ValueError("repeated evaluation points: Vandermonde matrix singular")
-    if len(ws) != len(xis):
-        raise ValueError("one evaluation vector required per point")
-    field = xis[0].field
-    d1, width = len(xis), len(ws[0])
-    read = Subspace(field, width)._read
-    # row j of [V | W]: the raw powers of xi_j, canonicalized by combine, then w_j
-    rows = ({**combine(field, ((raw_value(field, xi) ** i, {i: 1}) for i in range(d1))),
-             **{d1 + k: v for k, v in read(w).items()}} for xi, w in zip(xis, ws))
-    return [dense_scalars(field, width, r) for r in _solution(Subspace.from_raw(field, d1 + width, rows), d1)]
-
-
-def multi_vandermonde_recover(
-    m: int,
-    n: int,
-    evaluations,
-    sample: Sequence[Scalar],
-) -> dict[tuple[int, ...], Vector]:
-    """Recover the degree-n coefficient family from grid evaluations.
-
-    `evaluations` maps each point of the grid sample^m (a length-m tuple of
-    scalars) to the vector sum over exponent profiles mu of total n of
-    alpha_1^mu_1 ... alpha_m^mu_m w_mu.  Peels one variable per level: for
-    each fixed tail, a one-variable recovery in the head variable yields the
-    per-exponent partial sums, and recursion on the remaining m-1 variables
-    finishes the job.  Needs at least n+1 distinct sample values.
-    """
-    if m < 1:
-        raise ValueError("need at least one variable")
-    if len(set(sample)) != len(sample):
-        raise ValueError("sample values must be distinct")
-    if len(sample) < n + 1:
-        raise ValueError(
-            f"insufficient sample: need {n + 1} distinct values, got {len(sample)}"
-        )
-
-    def peel(vars_left: int, total: int, eval_at) -> dict[tuple[int, ...], Vector]:
-        pts = list(sample[: total + 1])
-        if vars_left == 1:
-            ws = [eval_at((x,)) for x in pts]
-            vs = vandermonde_recover(pts, ws)
-            return {(total,): vs[total]}
-        partial: dict[int, dict[tuple, Vector]] = {r: {} for r in range(total + 1)}
-        for tail in product(sample, repeat=vars_left - 1):
-            ws = [eval_at((x,) + tail) for x in pts]
-            vs = vandermonde_recover(pts, ws)
-            for r in range(total + 1):
-                partial[r][tail] = vs[r]
-        out: dict[tuple[int, ...], Vector] = {}
-        for r in range(total + 1):
-            sub = peel(vars_left - 1, total - r, lambda tail, _r=r: partial[_r][tail])
-            for exp, vec in sub.items():
-                out[(r,) + exp] = vec
-        return out
-
-    return peel(m, n, lambda pt: evaluations[pt])

@@ -1,4 +1,4 @@
-"""The MY1 pipeline: the graded nilpotence bound, its end-to-end check, and the weight check.
+"""The MY1 pipeline: the graded nilpotence bound and its end-to-end check.
 
 verify_graded_nil_index runs the whole pipeline behind the bound
 
@@ -8,25 +8,24 @@ for elements supported in graded degrees p..q of an algebra whose stage
 F_q has uniform algebraic degree at most d: the degree-N symmetric span
 over the graded algebra must vanish, certifying that every combination of
 the tested homogeneous components is nilpotent of index at most N.
-sym_degree_check reads the weight of one symmetric value off the level
-walk and compares its graded class with the symmetric value of the
-classes.
 
-Both run the level walk of algebra on the associated graded algebra, so
+It runs the level walk of algebra on the associated graded algebra, so
 only verify-my1 loads this module: graded resolves these names from here
 on first use (PEP 562), and ordsym.graded.verify_graded_nil_index and the
 rest still resolve there.  associated_graded is read off the graded
 module at each call, so a replacement bound there reaches this module
-too.
+too.  The weight check, HomogeneityReport and sym_degree_check, which no
+command runs, lives in evaluation and is resolved here the same way.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Optional, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Optional
 
 from . import graded
-from .algebra import algebraic_degree, sym_span_in, sym_values
+from .algebra import algebraic_degree, sym_span_in
 from .fields import raw_value
 from .linalg import times
 from .structure import AlgElement, Record
@@ -41,6 +40,16 @@ __all__ = [
     "HomogeneityReport",
     "sym_degree_check",
 ]
+
+
+def __getattr__(name: str):
+    """HomogeneityReport or sym_degree_check (no other name reaches here), loaded from evaluation on first use."""
+    if name not in ("HomogeneityReport", "sym_degree_check"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import evaluation
+
+    value = globals()[name] = getattr(evaluation, name)
+    return value
 
 
 def graded_nil_index_bound(p: int, q: int, d: int) -> int:
@@ -96,8 +105,9 @@ def verify_graded_nil_index(
     (i) Estimate a uniform algebraic-degree bound d for the stage F_q by
     taking the max degree over its adapted basis and a seeded sample of
     combinations (unital convention when the algebra has a unit, since
-    constant terms live in F_0 and are absorbed by every later stage);
-    callers may pin d instead.  (ii) N = graded_nil_index_bound(p, q, d).
+    constant terms live in F_0 and are absorbed by every later stage),
+    which stops at the first degree that reaches dim (dim + 1 without a
+    unit), as none can exceed it; callers may pin d instead.  (ii) N = graded_nil_index_bound(p, q, d).
     (iii) For every adapted class in degrees p..q and for `samples` seeded
     mixed combinations, the degree-N symmetric span of the homogeneous
     components over gr must be the zero subspace, which certifies that
@@ -135,11 +145,20 @@ def verify_graded_nil_index(
     d_source = "given"
     if d is None:
         d_source = "sampled"
-        candidates = [vectors[s] for s in slots_q]
-        candidates.extend(times(base.field, coeffs, vectors) for coeffs in sample_coeffs)
-        d = max(
-            algebraic_degree(AlgElement.from_raw(base, v), unital=base.is_unital) for v in candidates
-        )
+        candidates = chain((vectors[s] for s in slots_q),
+                           (times(base.field, coeffs, vectors) for coeffs in sample_coeffs))
+        # 1, a, ..., a^(d-1) (no 1 without a unit) are independent, so no
+        # degree exceeds the cap and the maximum is final once it is reached
+        cap = base.dim if base.is_unital else base.dim + 1
+
+        def sampled():
+            for v in candidates:
+                degree = algebraic_degree(AlgElement.from_raw(base, v), unital=base.is_unital)
+                yield degree
+                if degree >= cap:
+                    return
+
+        d = max(sampled())
     n_bound = graded_nil_index_bound(p, q, d)
 
     test_vectors: list[dict[int, int]] = [{s: 1} for s in slots_pq]
@@ -176,70 +195,3 @@ def verify_graded_nil_index(
         tested_samples=samples,
         failures=failures,
     )
-
-
-class HomogeneityReport(Record):
-    def __init__(
-        self, ok: bool, weight: int, in_stage: bool, graded_match: Optional[bool], skipped: bool = False
-    ):
-        self.ok = ok
-        self.weight = weight
-        self.in_stage = in_stage
-        self.graded_match = graded_match
-        self.skipped = skipped
-
-
-def sym_degree_check(
-    filtration: Filtration,
-    elements: Sequence[AlgElement],
-    start_degree: int,
-    profile: Sequence[int],
-    gr: Optional[GradedAlgebra] = None,
-) -> HomogeneityReport:
-    """Check the weight of a symmetric value against the filtration.
-
-    elements[i] must lie in stage start_degree + i.  The symmetric sum for
-    `profile` then lands in the stage of weight sum_i (start_degree+i) *
-    profile[i], and its graded class equals the symmetric sum of the
-    classes.  Both values are read off the first-letter level walk of
-    sym_values.  The all-zero profile is a statement about the constant 1
-    and is only meaningful in a unital algebra; it is reported as skipped
-    otherwise.
-    """
-    m = len(elements)
-    if len(profile) != m:
-        raise ValueError("profile length must match element count")
-    t = filtration.top
-    degrees = [start_degree + i for i in range(m)]
-    if degrees[-1] > t:
-        raise ValueError("element degrees exceed the top of the chain")
-    for a, degv in zip(elements, degrees):
-        if not filtration.stage(degv).contains_raw(a._raw):
-            raise ValueError(f"element not in stage {degv}")
-    base = filtration.algebra
-    if not any(profile) and not base.is_unital:
-        return HomogeneityReport(ok=True, weight=0, in_stage=True, graded_match=None, skipped=True)
-    if any(i < 0 for i in profile):
-        raise ValueError("profile entries must be nonnegative")
-    algebra = elements[0].algebra
-    if any(a.algebra is not algebra for a in elements):
-        raise ValueError("assignment mixes algebras")
-    if algebra.field != base.field:
-        raise ValueError("polynomial and algebra fields differ")
-    n = sum(profile)
-    used = [j for j, i in enumerate(profile) if i]  # the letters the words use: the walk needs no others
-    key = tuple(profile[j] for j in used)
-    weight = sum(degv * i for degv, i in zip(degrees, profile))
-    value = sym_values([elements[j] for j in used], n)[key] if n else algebra.unit_element()
-    in_stage = filtration.stage(weight).contains_raw(value._raw)
-    if gr is None:
-        gr = graded.associated_graded(filtration)
-    classes = [gr._class_of(a._raw, degv) for a, degv in zip(elements, degrees)]
-    gval = sym_values([classes[j] for j in used], n)[key] if n else gr.algebra.unit_element()
-    if weight > t:
-        expected = gr.algebra.zero_element()
-    else:
-        expected = gr._class_of(value._raw, weight) if in_stage else None
-    graded_match = expected is not None and gval == expected
-    return HomogeneityReport(ok=in_stage and bool(graded_match), weight=weight, in_stage=in_stage,
-                             graded_match=graded_match)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .fields import Field, Scalar, dense_scalars, raw_value, read_sparse
-from .io import InvalidAlgebraError
+from .errors import InvalidAlgebraError
 from .linalg import combine
 
 __all__ = ["Record", "ValidationReport", "StructureAlgebra", "AlgElement"]

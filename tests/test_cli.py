@@ -205,6 +205,18 @@ def test_exit_2_on_an_empty_input_path_quotes_it(capsys):
     assert captured.out == "" and captured.err == "input error: '': [Errno 2] No such file or directory: ''\n"
 
 
+@pytest.mark.parametrize("data, where", [
+    (b"\xff\xfe\x7b", "invalid start byte at byte 0"),
+    (b'{"dim": 1, "basis": ["\xe9"]}', "invalid continuation byte at byte 22"),
+])
+def test_exit_2_on_a_description_file_that_is_not_utf8_names_the_file(data, where, tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(data)
+    assert main(["gr", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"input error: {path}: not UTF-8 ({where})\n"
+
+
 def test_exit_2_on_a_gf_description_without_modulus(tmp_path, capsys):
     doc = {"field": {"kind": "GF"}, "dim": 1, "basis": ["a"], "mul": []}
     path = tmp_path / "no-modulus.json"

@@ -144,3 +144,37 @@ def test_reading_json_loads_json(tmp_path):
     loaded = loaded_by("rees-integrality", "--builtin", "truncated-polynomial:3", "--coeffs", "[[0, 0, 0], [0, 1, 0]]")
     assert "json" in loaded
     assert "argparse" not in loaded
+
+
+ALGEBRA_COMMANDS = ["nil-index", "alg-degree", "alg-bound", "check-filtration", "gr", "verify-my1",
+                    "rees-integrality", "iso-check"]
+ROUTE = "ordsym.evaluation"  # evaluate, sym_values, the weight check and Vandermonde recovery
+
+
+@pytest.mark.parametrize("argv", [
+    *[(command, "--builtin", "upper-triangular:3") for command in ALGEBRA_COMMANDS],
+    ("span-dim", "--n", "3", "--m", "2"),
+    ("sym-poly", "--md", "2,1"),
+])
+def test_a_check_that_reads_no_json_loads_neither_io_nor_the_evaluation_route(argv):
+    """The error classes come from errors, so io loads only to read a description or a vector flag."""
+    loaded = loaded_by(*argv)
+    assert "ordsym.errors" in loaded
+    assert not loaded & {"ordsym.io", ROUTE}
+
+
+@pytest.mark.parametrize("command", ALGEBRA_COMMANDS)
+def test_a_check_on_a_description_file_loads_io_and_not_the_evaluation_route(command, tmp_path):
+    loaded = loaded_by(command, *source("--input", tmp_path))
+    assert "ordsym.io" in loaded and ROUTE not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("nil-index", "--builtin", "upper-triangular:2", "--elements", "[[0, 1, 0]]"),
+    ("alg-degree", "--builtin", "upper-triangular:2", "--elements", "[[1, 1, 0]]"),
+    ("alg-bound", "--builtin", "upper-triangular:2", "--elements", "[[1, 0, 0], [0, 1, 0]]"),
+    ("rees-integrality", "--builtin", "truncated-polynomial:3", "--coeffs", "[[0, 0, 0], [0, 1, 0]]"),
+])
+def test_a_vector_flag_loads_io_and_not_the_evaluation_route(argv):
+    loaded = loaded_by(*argv)
+    assert "ordsym.io" in loaded and ROUTE not in loaded

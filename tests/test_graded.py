@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ordsym.algebra import AlgElement, algebraic_degree
 from ordsym.catalog import builtin_example, builtin_names
 from ordsym.fields import QQ, Field
 from ordsym.freealg import multidegrees
@@ -14,7 +15,7 @@ from ordsym.graded import (
     validate_filtration,
     verify_graded_nil_index,
 )
-from ordsym.linalg import Subspace
+from ordsym.linalg import Subspace, times
 from oracle import BUILTINS, outcome, reference_sym_degree_check, stage_element, unit_elt, ut3
 
 
@@ -193,6 +194,38 @@ def test_verify_over_prime_fields():
             assert out.ok, (name, param, p, out.failures)
             if out.observed_index is not None:
                 assert out.observed_index <= out.n_bound
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 2), Field("GF", 3), Field("GF", 101)], ids=str)
+def test_sampled_d_stopped_at_the_dimension_cap_is_the_full_maximum(field):
+    """No algebraic degree exceeds dim (dim + 1 without a unit), so stopping there keeps the maximum."""
+    for name, param in BUILTINS:
+        A, F = builtin_example(name, param, field)
+        vectors = associated_graded(F)._vectors
+        for seed in range(5):
+            rng = random.Random(seed)
+            samples = [{s: rng.randint(-3, 3) for s in range(A.dim)} for _ in range(32)]
+            candidates = vectors + [times(field, coeffs, vectors) for coeffs in samples]
+            full = max(algebraic_degree(AlgElement.from_raw(A, v), unital=A.is_unital) for v in candidates)
+            assert verify_graded_nil_index(F, seed=seed).d == full, (name, param, seed)
+
+
+def test_sampled_d_on_truncated_polynomial_computes_two_degrees(monkeypatch, capsys):
+    """t has degree 6 = dim in k[t]/(t^6), so the unit and t decide d."""
+    from ordsym import nilbound
+    from ordsym.cli import main
+
+    calls = []
+    real = nilbound.algebraic_degree
+
+    def counted(a, unital=False):
+        calls.append(a)
+        return real(a, unital=unital)
+
+    monkeypatch.setattr(nilbound, "algebraic_degree", counted)
+    assert main(["verify-my1", "--builtin", "truncated-polynomial:6"]) == 0
+    assert '"d": 6' in capsys.readouterr().out
+    assert len(calls) == 2
 
 
 def test_sym_degree_check_mixed_stages():

@@ -60,6 +60,12 @@ FAILING_VERIFY = [
     (["verify-my1", "--builtin", "upper-triangular:4", "--d", "1"], ("Q", "GF:101")),
     (["verify-my1", "--builtin", "truncated-polynomial:6", "--d", "2", "--q", "2"], ("Q", "GF:101")),
 ]
+# Per-element algebraic degrees of the basis, in the non-unital and the
+# unital convention.
+ALG_DEGREE = [
+    (["alg-degree", "--builtin", "upper-triangular:4"], ("Q", "GF:101")),
+    (["alg-degree", "--builtin", "upper-triangular:4", "--unital"], ("Q", "GF:101")),
+]
 FILTRATION_COMMANDS = ["check-filtration", "gr", "verify-my1", "rees-integrality", "iso-check"]
 CORRUPTED_COMMANDS = ["gr", "verify-my1", "iso-check", "rees-integrality", "nil-index"]
 
@@ -98,7 +104,7 @@ def pinned_runs() -> list[list[str]]:
         for n, m in SPAN_DIMS:
             runs.append(["span-dim", "--n", n, "--m", m, "--field", field])
             runs.append(["span-dim", "--n", n, "--m", m, "--include-zero", "--field", field])
-    for argv, fields in SPAN_CERTIFY + GROWTH + FAILING_VERIFY:
+    for argv, fields in SPAN_CERTIFY + GROWTH + FAILING_VERIFY + ALG_DEGREE:
         runs.extend([*argv, "--field", field] for field in fields)
     return runs
 
