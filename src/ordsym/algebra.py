@@ -13,12 +13,16 @@ computed by the first-letter recursion
 
 (proved and property-tested in the free algebra, transported here by the
 evaluation homomorphism), which is exponentially cheaper than expanding
-the symmetric sums word by word.  One level walk, _nonzero_levels, runs it
+the symmetric sums word by word.  One generator, _nonzero_levels, runs it
 for sym_span_in, sym_span_chain and uniform_nil_index, and for
 evaluation.sym_values.  It pushes each nonzero value of a level into the
 profiles above it, so a level holds only its nonzero values, and the walk
-ends at the first empty level.  Each value of the walk is one
-linalg.combine of the product terms that StructureAlgebra.products lists.
+ends at the first empty level.  Each value of the walk is a sparse raw row
+{index: raw}, one linalg.combine of the product terms that
+StructureAlgebra.products lists.  The power searches of algebraic_degree
+and AlgElement.nil_index step on raw rows too, so neither they nor the
+walk build an AlgElement.  The readers here take the rows as they are;
+evaluation.sym_values, which returns elements, wraps the ones it returns.
 
 evaluate and sym_values, which no command runs, live in evaluation and
 are resolved here on first use (PEP 562), so ordsym.algebra.evaluate is
@@ -34,7 +38,7 @@ from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .errors import InvalidAlgebraError
-from .linalg import Subspace, combine
+from .linalg import Raw, Subspace, combine
 from .structure import AlgElement, Record, StructureAlgebra, ValidationReport
 
 __all__ = [
@@ -65,61 +69,36 @@ def __getattr__(name: str):
     return value
 
 
-def _level_values(
-    elts: Sequence[AlgElement], level: dict[tuple[int, ...], AlgElement]
-) -> dict[tuple[int, ...], AlgElement]:
-    """One step of the first-letter recursion, pushed from the nonzero values of a level.
-
-    s[profile] = sum_j a_j * s[profile - e_j], so each value s[md] adds
-    the product terms of a_j * s[md] into the profile md + e_j, and each
-    profile's terms are summed by one combine.  Sums that cancel are
-    dropped, so the next level holds only its nonzero values too.
-    """
-    algebra = elts[0].algebra
-    by_left = algebra._by_left
-    # a_j * v is zero unless v meets a right factor of some entry of a_j
-    factors = [(a._raw, {k for i in a._raw for k in by_left[i]}) for a in elts]
-    terms: dict[tuple[int, ...], list] = {}
-    for md, v in level.items():
-        v = v._raw
-        for j, (a, right) in enumerate(factors):
-            if right.isdisjoint(v):
-                continue
-            t = algebra.products(a, v)
-            if t:
-                terms.setdefault((*md[:j], md[j] + 1, *md[j + 1:]), []).extend(t)
-    field = algebra.field
-    return {md: AlgElement.from_raw(algebra, raw) for md, t in terms.items() if (raw := combine(field, t))}
-
-
-def _first_level(elts: Sequence[AlgElement]) -> dict[tuple[int, ...], AlgElement]:
-    """The nonzero degree-1 values: a_j at the profile e_j."""
-    m = len(elts)
-    return {
-        tuple(1 if t == j else 0 for t in range(m)): e
-        for j, e in enumerate(elts)
-        if not e.is_zero()
-    }
-
-
-def _nonzero_levels(elts: Sequence[AlgElement]) -> Iterator[dict[tuple[int, ...], AlgElement]]:
+def _nonzero_levels(elts: Sequence[AlgElement]) -> Iterator[dict[tuple[int, ...], Raw]]:
     """The levels of degree 1, 2, ... of the first-letter recursion, up to an empty one.
 
-    A level maps each profile with a nonzero value to that value.  Each
-    level is pushed from the one before, so an empty level forces every
-    later level to be empty: the walk ends there, without yielding it.  A
-    level is computed only when it is asked for, and an empty tuple raises
-    at the call rather than at the first step.
+    A level maps each profile with a nonzero value to that value's sparse
+    raw row; degree 1 holds a_j at the profile e_j.  s[profile] = sum_j
+    a_j * s[profile - e_j], so each value s[md] adds the product terms of
+    a_j * s[md] into the profile md + e_j, and each profile's terms are
+    summed by one combine.  Sums that cancel are dropped, so an empty level
+    forces every later level to be empty: the walk ends there, without
+    yielding it.  A level is computed only when it is asked for, and an
+    empty tuple raises at the call rather than at the first step.
     """
     if not elts:
         raise ValueError("need at least one element")
+    algebra = elts[0].algebra
+    field, by_left, m = algebra.field, algebra._by_left, len(elts)
+    # a_j * v is zero unless v meets a right factor of some entry of a_j
+    factors = [(a._raw, {k for i in a._raw for k in by_left[i]}) for a in elts]
 
     def walk(level):
         while level:
             yield level
-            level = _level_values(elts, level)
+            terms: dict[tuple[int, ...], list] = {}
+            for md, v in level.items():
+                for j, (a, right) in enumerate(factors):
+                    if not right.isdisjoint(v) and (t := algebra.products(a, v)):
+                        terms.setdefault((*md[:j], md[j] + 1, *md[j + 1:]), []).extend(t)
+            level = {md: raw for md, t in terms.items() if (raw := combine(field, t))}
 
-    return walk(_first_level(elts))
+    return walk({tuple(int(t == j) for t in range(m)): a for j, (a, _) in enumerate(factors) if a})
 
 
 def sym_span_in(elts: Sequence[AlgElement], n: int) -> Subspace:
@@ -131,14 +110,9 @@ def sym_span_in(elts: Sequence[AlgElement], n: int) -> Subspace:
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    levels = _nonzero_levels(elts)
+    level = next(islice(_nonzero_levels(elts), n - 1, None), {})
     algebra = elts[0].algebra
-    span = Subspace(algebra.field, algebra.dim)
-    for degree, level in enumerate(islice(levels, n), start=1):
-        if degree == n:
-            for v in level.values():
-                span.insert_raw(v._raw)
-    return span
+    return Subspace.from_raw(algebra.field, algebra.dim, level.values())
 
 
 class ChainResult(Record):
@@ -193,7 +167,7 @@ def sym_span_chain(
     for level in islice(levels, cap):
         before = cum.dim
         for v in level.values():
-            cum.insert_raw(v._raw)
+            cum.insert_raw(v)
         growth.append(cum.dim - before)
         if cum.dim == algebra.dim or (stop_at_plateau and not growth[-1]):
             break
@@ -256,10 +230,10 @@ def brute_force_nil_index(
     if total > budget:
         raise ValueError(f"enumeration budget exceeded: {total} > {budget}")
     cap = algebra.dim + 1
+    rows = [e._raw for e in elts]
     worst = 1
-    for coeffs in product(f.elements(), repeat=len(elts)):
-        v = AlgElement.from_raw(algebra, combine(f, ((c.value, e._raw) for c, e in zip(coeffs, elts))))
-        idx = v.nil_index(cap)
+    for coeffs in product(range(f.p), repeat=len(elts)):
+        idx = AlgElement.from_raw(algebra, combine(f, zip(coeffs, rows))).nil_index(cap)
         if idx is None:
             return None
         worst = max(worst, idx)
@@ -278,11 +252,11 @@ def algebraic_degree(a: AlgElement, unital: bool = False) -> int:
     spanned = Subspace(algebra.field, algebra.dim)
     if unital:
         spanned.insert_raw(algebra.unit_element()._raw)  # raises if no unit
-    p = a
+    p = a._raw
     for d in range(1, algebra.dim + 3):
-        if not spanned.insert_raw(p._raw):
+        if not spanned.insert_raw(p):
             return d
-        p = p * a
+        p = algebra.product(p, a._raw)
     raise RuntimeError("unreachable: powers span a bounded space")
 
 
@@ -300,18 +274,6 @@ class BoundResult(Record):
         self.bound = bound
         self.chain = chain
         self.sampled_degrees = sampled_degrees
-
-
-def _least_collapse_degree(chain: ChainResult) -> int:
-    """Least d with the cumulative span already reached by degree d-1."""
-    final = chain.cumulative.dim
-    d, acc = 1, 0
-    for g in chain.growth:
-        if acc == final:
-            break
-        acc += g
-        d += 1
-    return d
 
 
 def uniform_algebraic_bound(
@@ -333,7 +295,8 @@ def uniform_algebraic_bound(
     horizon = algebra.dim
     while True:
         chain = sym_span_chain(elts, stop_at_plateau=False, max_degree=horizon)
-        d = _least_collapse_degree(chain)
+        # the least d with the cumulative span already reached by degree d - 1
+        d = 1 + max((i for i, g in enumerate(chain.growth, start=1) if g), default=0)
         bound = comb(d + m - 1, m)
         if chain.cumulative.dim == algebra.dim:
             break  # the span is the whole algebra; nothing can escape it

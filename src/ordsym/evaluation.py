@@ -7,8 +7,9 @@ Vandermonde inversion (vandermonde_recover, one variable, and
 multi_vandermonde_recover, one variable peeled per level, which need more
 distinct field elements than the degree).  evaluate maps a free
 polynomial into an algebra, sym_values reads every symmetric value off
-the first-letter level walk of algebra, and sym_degree_check is the
-paper's weight lemma for one symmetric value of a filtered algebra.
+the first-letter level walk of algebra (whose levels hold sparse raw rows,
+so it wraps each value it returns in an AlgElement), and sym_degree_check
+is the paper's weight lemma for one symmetric value of a filtered algebra.
 
 No command runs this route.  Every check computes the symmetric spans it
 needs exactly, by the level walk, over any field and without evaluating
@@ -74,12 +75,14 @@ def sym_values(elts: Sequence[AlgElement], max_total: int) -> dict[tuple[int, ..
     from .freealg import multidegrees
 
     levels = _nonzero_levels(elts)
-    zero = elts[0].algebra.zero_element()
+    algebra = elts[0].algebra
+    zero = algebra.zero_element()
     vals: dict[tuple[int, ...], AlgElement] = {}
     for total in range(1, max_total + 1):
         level = next(levels, {})
         for md in multidegrees(total, len(elts)):
-            vals[md] = level.get(md, zero)
+            raw = level.get(md)
+            vals[md] = zero if raw is None else AlgElement.from_raw(algebra, raw)
     return vals
 
 

@@ -107,7 +107,9 @@ def verify_graded_nil_index(
     combinations (unital convention when the algebra has a unit, since
     constant terms live in F_0 and are absorbed by every later stage),
     which stops at the first degree that reaches dim (dim + 1 without a
-    unit), as none can exceed it; callers may pin d instead.  (ii) N = graded_nil_index_bound(p, q, d).
+    unit), as none can exceed it, and gives 1 when there is nothing to
+    sample (F_q is zero and samples is 0); callers may pin d instead.
+    (ii) N = graded_nil_index_bound(p, q, d).
     (iii) For every adapted class in degrees p..q and for `samples` seeded
     mixed combinations, the degree-N symmetric span of the homogeneous
     components over gr must be the zero subspace, which certifies that
@@ -151,14 +153,12 @@ def verify_graded_nil_index(
         # degree exceeds the cap and the maximum is final once it is reached
         cap = base.dim if base.is_unital else base.dim + 1
 
-        def sampled():
-            for v in candidates:
-                degree = algebraic_degree(AlgElement.from_raw(base, v), unital=base.is_unital)
-                yield degree
-                if degree >= cap:
-                    return
-
-        d = max(sampled())
+        # every element of a zero F_q has degree 1, so d starts there
+        d = 1
+        for v in candidates:
+            d = max(d, algebraic_degree(AlgElement.from_raw(base, v), unital=base.is_unital))
+            if d >= cap:
+                break
     n_bound = graded_nil_index_bound(p, q, d)
 
     test_vectors: list[dict[int, int]] = [{s: 1} for s in slots_pq]

@@ -7,7 +7,8 @@ and file input.  Constants and element coordinates are stored once, as
 sparse raw values {index: raw} (see fields); mul, unit and coords are views
 wrapped into Scalars on first read.  Every product, sum and scalar multiple
 is one linalg.combine, and multiply_coords and the dense constructors are
-boundary adapters over it.
+boundary adapters over it.  AlgElement.nil_index takes each next power
+with StructureAlgebra.product on raw rows, so it builds no AlgElement.
 
 A check that reads only a filtration needs nothing else of an algebra, so
 it loads this module and not algebra, which imports these names back.
@@ -288,12 +289,12 @@ class AlgElement:
         return not self._raw
 
     def nil_index(self, cutoff: int) -> Optional[int]:
-        """Least n <= cutoff with self**n = 0, or None."""
-        p = self
+        """Least n <= cutoff with self**n = 0, or None; the powers are raw rows."""
+        product, p = self.algebra.product, self._raw
         for n in range(1, cutoff + 1):
-            if p.is_zero():
+            if not p:
                 return n
-            p = p * self
+            p = product(p, self._raw)
         return None
 
     def __eq__(self, other) -> bool:

@@ -7,11 +7,12 @@ compute on dense vectors of Scalars, one Scalar operation per cell, or on
 element arithmetic, and each keeps its old algorithm: batch Gauss-Jordan
 elimination, the pull walk, all-pairs validation and word-by-word
 evaluation.  No reference calls a raw kernel it checks (`combine`,
-`products`, `insert_raw`, `reduce_raw`, `_nonzero_levels`,
-`_level_values`).  The one raw kernel called here is `linalg.combine`,
-inside the `combine` adapter at the end: that adapter is the kernel under
-test with dense input, and it returns the kernel's sparse raw row as is,
-so a suite sees each raw value the kernel made; no reference uses it.
+`products`, `insert_raw`, `reduce_raw`, and `_nonzero_levels`, the level
+walk's one generator of raw rows).  The one raw kernel called here is
+`linalg.combine`, inside the `combine` adapter at the end: that adapter
+is the kernel under test with dense input, and it returns the kernel's
+sparse raw row as is, so a suite sees each raw value the kernel made; no
+reference uses it.
 
 pytest does not collect this module; the suites import from it by name.
 """

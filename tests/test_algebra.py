@@ -34,6 +34,14 @@ def test_ut3_validates():
     assert report.ok
 
 
+def test_reprs_show_sizes_and_terms():
+    A, F = builtin_example("upper-triangular", 3)
+    assert repr(A) == "StructureAlgebra(dim=6, field=Q)"
+    assert repr(A.element([1, 0, 0, 2, 0, Fraction(1, 3)])) == "(1)*E11 + (2)*E12 + (1/3)*E13"
+    assert repr(A.zero_element()) == "0"
+    assert repr(F.stage(1)) == "Subspace(dim=5, ambient=6, field=Q)"
+
+
 def test_corrupted_tensor_names_triple():
     A = ut3()
     mul = {k: dict(v) for k, v in A.mul.items()}

@@ -323,6 +323,23 @@ def test_description_file_input_end_to_end(tmp_path, capsys):
     assert report["results"]["N"] == 5
 
 
+def test_verify_my1_with_a_zero_top_stage_and_no_samples(tmp_path, capsys):
+    """F_q is zero, so no vector is left to sample d from: every element has degree 1, so d = 1."""
+    path = tmp_path / "zero-fq.json"
+    path.write_text(json.dumps({"field": "Q", "dim": 1, "basis": ["a"], "mul": [], "filtration": [[], [], [[1]]]}))
+    code, report = run(["verify-my1", "--input", str(path), "--q", "1", "--samples", "0"], capsys)
+    assert code == 0
+    del report["timing_ms"]
+    assert report == {
+        "command": "verify-my1",
+        "status": "pass",
+        "params": {"p": 1, "q": 1, "d": 1, "N": 1, "seed": 0, "samples": 0},
+        "results": {"vacuous": False, "d": 1, "d_source": "sampled", "N": 1, "actual_index": None,
+                    "tested_classes": 0, "tested_samples": 0},
+        "witnesses": None,
+    }
+
+
 def _ut3_with_filtration(tmp_path, stages):
     """upper-triangular:3 (basis E11 E22 E33 E12 E23 E13) with the given stages.
 

@@ -122,6 +122,11 @@ def test_gf7_mul():
     assert f.scalar(3) * f.scalar(5) == f.scalar(1)
 
 
+def test_a_number_minus_a_scalar():
+    assert 3 - Field("GF", 7).scalar(5) == Field("GF", 7).scalar(5)
+    assert Fraction(1, 2) - QQ.scalar(2) == QQ.scalar(Fraction(-3, 2))
+
+
 def test_inv_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
         QQ.zero().inv()

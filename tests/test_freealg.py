@@ -80,6 +80,14 @@ def test_poly_distributes():
     assert (x1 + x2) * x1 == FreePoly(QQ, 2, {(1, 1): QQ.one(), (2, 1): QQ.one()})
 
 
+def test_monomials_hash_and_show_their_terms():
+    p = FreePoly.one(QQ, 2) + FreePoly.monomial(QQ, 2, (1, 2), Fraction(1, 2))
+    assert repr(p) == "(1)*1 + (1/2)*x1*x2"
+    assert repr(FreePoly.monomial(QQ, 2, [], 0)) == "0"
+    # the same terms built another way hash alike
+    assert hash(p) == hash(FreePoly.monomial(QQ, 2, [1, 2], Fraction(1, 2)) + FreePoly.monomial(QQ, 2, (), 1))
+
+
 def test_poly_cancellation():
     p = sym_poly((1, 1), QQ)
     assert (p + p.scale(-1)).is_zero()

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordsym import rees
-from ordsym.algebra import AlgElement, uniform_nil_index
+from ordsym.algebra import AlgElement, algebraic_degree, brute_force_nil_index, uniform_nil_index
 from ordsym.catalog import builtin_example
 from ordsym.fields import QQ, Field, Scalar, read_sparse
 from ordsym.graded import Filtration, GradedAlgebra, associated_graded, verify_graded_nil_index
@@ -141,6 +141,38 @@ def test_walk_and_graded_check_build_no_scalar(field, scalars_built, monkeypatch
         element = rees.ReesElement.make(builtin_example(name, 4, field)[1], coeffs)
         assert rees.integral_witness(element, n_max=4) is not None
     assert multipliers
+    assert scalars_built == []
+
+
+@pytest.fixture
+def elements_built(monkeypatch):
+    built = []
+    from_raw = AlgElement.from_raw.__func__
+
+    def counted(cls, algebra, raw):
+        built.append(raw)
+        return from_raw(cls, algebra, raw)
+
+    monkeypatch.setattr(AlgElement, "from_raw", classmethod(counted))
+    return built
+
+
+def test_walk_and_power_searches_build_no_wrapper(elements_built, scalars_built):
+    """The level walk and the power searches step on raw rows.
+
+    The walk of uniform_nil_index and its member pre-check, and the powers
+    of algebraic_degree, build no AlgElement (247 and 11 of them when each
+    value was wrapped); brute force enumerates residues, not the field's
+    Scalars.
+    """
+    elts = builtin_example("strictly-upper-triangular", 8)[0].basis_elements()
+    t = builtin_example("truncated-polynomial", 12)[0].basis_element(1)
+    small = builtin_example("strictly-upper-triangular", 3, Field("GF", 3))[0].basis_elements()
+    del elements_built[:], scalars_built[:]
+    assert uniform_nil_index(elts) == 8
+    assert algebraic_degree(t) == 12
+    assert elements_built == []
+    assert brute_force_nil_index(small) == 3
     assert scalars_built == []
 
 

@@ -47,6 +47,19 @@ def test_product_of_superdiagonal_slices():
     assert prod.coeff(0).is_zero() and prod.coeff(1).is_zero()
 
 
+def test_sum_of_elements():
+    A, F = ut3()
+    a = ReesElement(F, [unit_elt(A, "E11"), 2 * unit_elt(A, "E12")])
+    b = ReesElement(F, [-1 * unit_elt(A, "E11"), unit_elt(A, "E12") + unit_elt(A, "E23"), unit_elt(A, "E13")])
+    assert repr(a) == "((1)*E11)*x^0 + ((2)*E12)*x^1"
+    total = a + b
+    # the x^0 coefficients cancel and are left out
+    assert repr(total) == "((3)*E12 + (1)*E23)*x^1 + ((1)*E13)*x^2"
+    assert total == ReesElement(F, [A.zero_element(), 3 * unit_elt(A, "E12") + unit_elt(A, "E23"), unit_elt(A, "E13")])
+    assert total != a and a != "a"
+    assert repr(ReesElement(F, [])) == "0"
+
+
 def test_product_with_zero():
     A, F = ut3()
     a = ReesElement(F, [A.zero_element(), unit_elt(A, "E12")])
@@ -186,6 +199,12 @@ def test_scalar_poly_trims_and_compares():
     assert p == ScalarPoly.x(QQ)
     assert p.degree == 1
     assert ScalarPoly(QQ, []).is_zero()
+    gf7 = Field("GF", 7)
+    q = ScalarPoly(gf7, [1, 0, 3])
+    assert (q.coeff(0), q.coeff(2), q.coeff(5), q.coeff(-1)) == (gf7.one(), gf7.scalar(3), gf7.zero(), gf7.zero())
+    assert repr(q) == "1 + 3*x^2"
+    # unreduced residues and trailing zeros read as the same polynomial, and hash alike
+    assert q == ScalarPoly(gf7, [8, 7, 3, 0]) and hash(q) == hash(ScalarPoly(gf7, [8, 7, 3, 0]))
 
 
 def _substitute(witness, a):

@@ -109,7 +109,7 @@ def walk_tuples(name: str, algebra, rng: random.Random):
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_push_walk_matches_pull_levels(field):
-    """Each pushed level is the nonzero part of the pulled one, and both walks end together."""
+    """Each pushed level is the nonzero part of the pulled one, as raw rows, and both walks end together."""
     seen = set()
     for name in builtin_names():
         algebra = builtin_example(name, SIZES[name], field)[0]
@@ -122,7 +122,8 @@ def test_push_walk_matches_pull_levels(field):
             pulled = next(levels)
             for degree in range(1, algebra.dim + 3):
                 nonzero = {md: v for md, v in pulled.items() if not v.is_zero()}
-                assert next(pushed, {}) == nonzero, (name, degree)
+                raw = {md: read_sparse(field, v.coords) for md, v in nonzero.items()}
+                assert next(pushed, {}) == raw, (name, degree)
                 if not nonzero:
                     seen.add("walk ends")
                     break
