@@ -6,9 +6,10 @@ Importing the package loads none of its submodules.  Each exported name is
 resolved on first use from the submodule listed below (PEP 562), so a
 command line check imports only the modules it runs.  A submodule that
 re-exports a name gives the same object as the one that defines it:
-algebra the core of structure, graded the pipeline of nilbound, io the
-error classes of errors, and algebra, nilbound and linalg the evaluation
-route of evaluation, which they load on first use.
+algebra the core and the power searches of structure, graded the pipeline
+of nilbound, io the error classes of errors and read_vector of fields, and
+algebra, nilbound and linalg the evaluation route of evaluation, which
+they load on first use.
 """
 
 from importlib import import_module

@@ -1,9 +1,10 @@
 """The first-letter level walk, and the nil and algebraicity searches on it.
 
 The algebra core (StructureAlgebra, AlgElement, ValidationReport, Record)
-lives in structure and is imported back here, so ordsym.algebra names it
-too; a check that reads only a filtration loads structure and not this
-module.
+and the power searches algebraic_degree and raw_nil_index live in
+structure and are imported back here, so ordsym.algebra names them too; a
+check that reads only a filtration, the Rees integrality search included,
+loads structure and not this module.
 
 The degreewise spans of order-symmetric values, nil-index and
 algebraicity-degree searches all live here.  The degreewise spans are
@@ -20,8 +21,9 @@ profiles above it, so a level holds only its nonzero values, and the walk
 ends at the first empty level.  Each value of the walk is a sparse raw row
 {index: raw}, one linalg.combine of the product terms that
 StructureAlgebra.products lists.  The power searches of algebraic_degree
-and AlgElement.nil_index step on raw rows too, so neither they nor the
-walk build an AlgElement.  The readers here take the rows as they are;
+and raw_nil_index, which brute_force_nil_index runs on each enumerated
+combination, step on raw rows too, so neither they nor the walk build an
+AlgElement.  The readers here take the rows as they are;
 evaluation.sym_values, which returns elements, wraps the ones it returns.
 
 evaluate and sym_values, which no command runs, live in evaluation and
@@ -39,7 +41,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import InvalidAlgebraError
 from .linalg import Raw, Subspace, combine
-from .structure import AlgElement, Record, StructureAlgebra, ValidationReport
+from .structure import AlgElement, Record, StructureAlgebra, ValidationReport, algebraic_degree, raw_nil_index
 
 __all__ = [
     "ValidationReport",
@@ -233,31 +235,11 @@ def brute_force_nil_index(
     rows = [e._raw for e in elts]
     worst = 1
     for coeffs in product(range(f.p), repeat=len(elts)):
-        idx = AlgElement.from_raw(algebra, combine(f, zip(coeffs, rows))).nil_index(cap)
+        idx = raw_nil_index(algebra, combine(f, zip(coeffs, rows)), cap)
         if idx is None:
             return None
         worst = max(worst, idx)
     return worst
-
-
-def algebraic_degree(a: AlgElement, unital: bool = False) -> int:
-    """Least d >= 1 with a**d in the span of lower powers.
-
-    Non-unital by default: the span runs over a, ..., a**(d-1) only.  With
-    unital=True the identity joins the span (the algebra must have one).
-    Always terminates: powers live in a space of dimension at most dim, so
-    d never exceeds dim + 1 (dim + 2 in the seeded-unit case).
-    """
-    algebra = a.algebra
-    spanned = Subspace(algebra.field, algebra.dim)
-    if unital:
-        spanned.insert_raw(algebra.unit_element()._raw)  # raises if no unit
-    p = a._raw
-    for d in range(1, algebra.dim + 3):
-        if not spanned.insert_raw(p):
-            return d
-        p = algebra.product(p, a._raw)
-    raise RuntimeError("unreachable: powers span a bounded space")
 
 
 class BoundResult(Record):

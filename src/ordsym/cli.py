@@ -19,8 +19,9 @@ indent=2) byte for byte; json is loaded only to read JSON (a description
 file, --elements, --coeffs) or for a report value _dumps does not write.
 
 Every command loads cli, errors, fields, the commands package and its
-own module there, and io only to read JSON (--input, --elements,
---coeffs); then
+own module there, json only to read JSON (--input, --elements, --coeffs),
+io only to read a description file (--input), and fractions only once a
+non-whole rational is made or read; then
 
 - span-dim and sym-poly load freealg and linalg, and no algebra;
 - the other commands load structure and linalg (and catalog on --builtin)

@@ -5,7 +5,7 @@ cli.main writes the report.  main imports the module of the command it
 runs and no other, so a check compiles its own command's body and the
 helpers below.  Each run imports what it needs inside its body, so a
 command loads only the modules it runs (see cli); io is imported only
-to read JSON, a description file or a vector flag.
+to read a description file, and json to read it or a vector flag.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import InputError, InvalidFiltrationError
-from ..fields import QQ, Field, field_make
+from ..fields import QQ, Field, field_make, read_vector
 
 if TYPE_CHECKING:
     from ..graded import Filtration
@@ -99,10 +99,8 @@ def load(args, need_filtration: bool = False) -> tuple[StructureAlgebra, Optiona
 
 
 def vectors(flag: str, text: str, algebra: StructureAlgebra, expects: str, nonempty: bool = False) -> list:
-    """The raw coordinate vectors of a JSON list flag, each read by io.read_vector."""
+    """The raw coordinate vectors of a JSON list flag, each read by fields.read_vector."""
     import json
-
-    from ..io import read_vector
 
     try:
         data = json.loads(text)

@@ -15,12 +15,17 @@ raw_to_json writes; no library function runs Scalar arithmetic.
 raw_value lets in only exact numbers: a Scalar, an int or a Fraction.  A
 GF(p) modulus is proven prime, so it must lie below psi_12 =
 318665857834031151167461, the least strong pseudoprime to the bases 2..37.
+
+fractions (and decimal with it) loads only where a non-whole rational is
+made or recognised, through fraction().  read_vector, the one reader of a
+JSON vector, lives here, so a vector flag loads no io.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Union
+
+from .errors import InputError
 
 __all__ = [
     "Field",
@@ -37,6 +42,22 @@ __all__ = [
 # Math. Comp. 2017); psi_12 = 399165290221 * 798330580441 passes them all.
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _CERTIFIED_BELOW = 318665857834031151167461
+
+
+Fraction = None  # fractions.Fraction, bound by fraction() on first use
+
+
+def fraction():
+    """The Fraction class, imported on first use and bound as this module's Fraction: most checks make none."""
+    global Fraction
+    if Fraction is None:
+        from fractions import Fraction
+    return Fraction
+
+
+def is_rational(x) -> bool:
+    """Whether x is an int or a Fraction; the int test comes first, so an int loads nothing."""
+    return isinstance(x, int) or isinstance(x, fraction())
 
 
 def _too_large(n) -> ValueError:
@@ -134,7 +155,7 @@ class Scalar:
             if other.field != self.field:
                 raise ValueError(f"field mismatch: {self.field} vs {other.field}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if is_rational(other):
             return Scalar(self.field, other)
         return NotImplemented  # type: ignore[return-value]
 
@@ -170,7 +191,7 @@ class Scalar:
         if not self:
             raise ZeroDivisionError(f"inversion of zero in {self.field}")
         if self.field.kind == "Q":
-            return Scalar(self.field, Fraction(1, self.value))
+            return Scalar(self.field, fraction()(1, self.value))
         return Scalar(self.field, pow(self.value, -1, self.field.p))
 
     def __truediv__(self, other):
@@ -190,7 +211,7 @@ class Scalar:
         return self.value.numerator != 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Scalar) and is_rational(other):
             other = Scalar(self.field, other)
         return (
             isinstance(other, Scalar)
@@ -220,7 +241,7 @@ def raw_value(field: Field, x):
     p = field.p
     if isinstance(x, int):
         return x % p if p else int(x)
-    if not isinstance(x, Fraction):
+    if cls is not Fraction and not isinstance(x, fraction()):
         raise TypeError(f"{x!r} is not a scalar of {field}: expected a Scalar, an int or a Fraction")
     if p is None:
         return canonical_rational(x if cls is Fraction else Fraction(x))
@@ -312,15 +333,40 @@ def scalar_to_json(s: Scalar):
 
 
 def raw_from_json(field: Field, raw):
-    """The raw value of an int or a "num/den" string; ValueError when it names no element of field."""
+    """The raw value of an int or a "num/den" string; ValueError when it names no element of field.
+
+    A signed run of ASCII digits reads as the int that Fraction would make.
+    """
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise ValueError(f"bad scalar {raw!r}")
     try:
-        return raw_value(field, raw if isinstance(raw, int) else Fraction(raw))
+        x = raw
+        if isinstance(raw, str):
+            digits = raw[1:] if raw[:1] in ("+", "-") else raw
+            x = int(raw) if digits.isascii() and digits.isdigit() else fraction()(raw)
+        return raw_value(field, x)
     except ZeroDivisionError:
         raise ValueError(f"bad scalar {raw!r}: zero denominator in {field}") from None
     except ValueError:
         raise ValueError(f"bad scalar {raw!r}") from None
+
+
+def _fail(where: str, msg: str) -> None:
+    raise InputError(f"{where}: {msg}")
+
+
+def _value(field: Field, raw, where: str):
+    try:
+        return raw_from_json(field, raw)
+    except ValueError as e:
+        _fail(where, str(e))
+
+
+def read_vector(field: Field, dim: int, raw, where: str) -> list:
+    """The raw values of a JSON coordinate vector of length dim; InputError names where, and which entry."""
+    if not isinstance(raw, list) or len(raw) != dim:
+        _fail(where, f"expected a vector of length {dim}")
+    return [_value(field, c, f"{where}[{i}]") for i, c in enumerate(raw)]
 
 
 def scalar_from_json(field: Field, raw) -> Scalar:

@@ -15,12 +15,11 @@ identity is what the span machinery below exploits.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
-from .fields import Field, Scalar, raw_value
+from .fields import Field, Scalar, is_rational, raw_value
 from .linalg import Subspace, combine
 
 __all__ = [
@@ -162,7 +161,7 @@ class FreePoly:
         return self._combine(((-1, self._terms),))
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
+        if isinstance(other, Scalar) or is_rational(other):
             return self.scale(other)
         if not isinstance(other, FreePoly):
             return NotImplemented

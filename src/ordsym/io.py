@@ -14,19 +14,20 @@ Schema (1-based indices on the wire):
 dim, p and the indices i, j, k are JSON integers (true and false are
 not), and one product names each target k once.  Rational coefficients
 travel as "num/den" strings (plain integers allowed); prime-field
-coefficients as integers, each read once by raw_from_json into the raw
-form that is stored; read_vector reads every JSON vector,
---elements and --coeffs too, and names a bad entry by its place.
+coefficients as integers, each read once by fields.raw_from_json into the
+raw form that is stored; fields.read_vector, re-exported here, reads every
+JSON vector, --elements and --coeffs too, and names a bad entry by its
+place.
 dump_description writes that stored raw form back through raw_to_json, so
 neither direction builds a Scalar.  A field override re-reads every
 constant in the requested field, so one fixture can exercise both Q and a
 small prime field.  A filtration comes back as a Chain of stages that no
 law has checked, so reading a description loads no graded.
 
-Only a check that reads JSON (--input, --elements, --coeffs) loads this
-module.  The error classes of the command line live in errors; io
-re-exports them, so ordsym.io.InputError and the others are the same
-objects.
+Only a check that reads a description file (--input) loads this module;
+a vector flag needs read_vector alone, which lives in fields.  The error
+classes of the command line live in errors; io re-exports them, so
+ordsym.io.InputError and the others are the same objects.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import InputError, InvalidAlgebraError, InvalidFiltrationError  # noqa: F401  (the last two re-exported)
-from .fields import Field, field_make, field_to_json, raw_from_json, raw_to_json
+from .fields import Field, _fail, _value, field_make, field_to_json, raw_to_json, read_vector
 
 if TYPE_CHECKING:
     from .linalg import Subspace
@@ -50,27 +51,9 @@ class Chain(NamedTuple):
     stages: tuple[Subspace, ...]
 
 
-def _fail(where: str, msg: str) -> None:
-    raise InputError(f"{where}: {msg}")
-
-
-def _value(field: Field, raw, where: str):
-    try:
-        return raw_from_json(field, raw)
-    except ValueError as e:
-        _fail(where, str(e))
-
-
 def _index(x, dim: int) -> bool:
     """Whether x is a 1-based index in 1..dim: a JSON integer, and no bool."""
     return x.__class__ is int and 1 <= x <= dim
-
-
-def read_vector(field: Field, dim: int, raw, where: str) -> list:
-    """The raw values of a JSON coordinate vector of length dim; InputError names where, and which entry."""
-    if not isinstance(raw, list) or len(raw) != dim:
-        _fail(where, f"expected a vector of length {dim}")
-    return [_value(field, c, f"{where}[{i}]") for i, c in enumerate(raw)]
 
 
 def load_description(doc: dict, field_override: Optional[Field] = None):

@@ -20,10 +20,9 @@ is resolved here on first use (PEP 562), so ordsym.linalg names it still.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .fields import Field, Scalar, canonical_rational, dense_scalars, read_sparse
+from .fields import Field, Scalar, canonical_rational, dense_scalars, fraction, read_sparse
 
 __all__ = [
     "Subspace",
@@ -178,8 +177,10 @@ class Subspace:
         c = min(new)
         lead = new.pop(c)
         if lead != 1:
+            # over Q a -1 pivot scales by the int -1: only other pivots make a Fraction
             p = self.field.p
-            new = combine(self.field, ((pow(lead, -1, p) if p else Fraction(1, lead), new),))
+            inverse = pow(lead, -1, p) if p else -1 if lead == -1 else fraction()(1, lead)
+            new = combine(self.field, ((inverse, new),))
         basis = self._basis
         for pivot, row in basis.items():
             b = row.pop(c, None)

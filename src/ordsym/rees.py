@@ -9,12 +9,18 @@ An element a(x) of A[x] is integral of degree n over the scalar
 polynomials when a^n = q_{n-1} a^{n-1} + ... + q_1 a + q_0 with scalar
 polynomials q_i; q_0 multiplies the identity and is forced to zero in a
 non-unital algebra.  A witness is one exact solve, linalg.solve_raw, on the
-sparse raw rows of the system; only the q_i it returns are Scalars.  When a
-Rees element with zero constant coefficient and top x-degree m is integral
-of degree n, its power N = m*(n-1)+1 lands in xR, which makes the graded
-class nilpotent.  x is central, so xR is a two-sided ideal and the power
-check stops at the least power in it.  xR asks the x^e-coefficient to lie
-one stage lower, a condition only for e <= t, so the check truncates at t.
+sparse raw rows of the system; only the q_i it returns are Scalars.  The
+search skips every n below the algebraic degree in A of a(x0), x0 = 1, 2, 3
+(those nonzero in the field): a witness specialises to a relation of
+degree n there, so no smaller n has one.  That degree comes from
+structure, so the search loads no algebra.
+
+When a Rees element with zero constant coefficient and top x-degree m is
+integral of degree n, its power N = m*(n-1)+1 lands in xR, which makes the
+graded class nilpotent.  x is central, so xR is a two-sided ideal and the
+power check stops at the least power in it.  xR asks the x^e-coefficient
+to lie one stage lower, a condition only for e <= t, so the check
+truncates at t.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Optional, Sequence
 from .fields import Field, Scalar, raw_value
 from .graded import Filtration, GradedAlgebra, associated_graded
 from .linalg import Subspace, combine, solve_raw
-from .structure import AlgElement, Record, StructureAlgebra
+from .structure import AlgElement, Record, StructureAlgebra, algebraic_degree
 
 __all__ = [
     "ScalarPoly",
@@ -186,16 +192,35 @@ class IntegralWitness(Record):
         self.multipliers = multipliers  # q_0, ..., q_{degree-1}
 
 
+def _specialised_degree(a: ReesElement) -> int:
+    """The largest algebraic degree in A of a(x0), over x0 = 1, 2, 3 nonzero in the field.
+
+    A witness a^n = sum q_i(x) a^i specialises at x = x0 to a relation of
+    degree n in A (x is central), so no n below this degree has a witness,
+    whatever the cap on the q_i.  The unit joins the span exactly when A
+    has one, as the q_0 slot does.  Over GF(2) only x0 = 1 is left.
+    """
+    base = a.filtration.algebra
+    f = base.field
+    points = {x0 % f.p if f.p else x0 for x0 in (1, 2, 3)} - {0}
+    return max(
+        algebraic_degree(AlgElement.from_raw(base, combine(f, ((x0**n, c._raw) for n, c in enumerate(a.coeffs)))),
+                         unital=base.is_unital)
+        for x0 in points
+    )
+
+
 def integral_witness(
     a: ReesElement, n_max: int, deg_max: Optional[int] = None
 ) -> Optional[IntegralWitness]:
     """Least n <= n_max with a^n a scalar-polynomial combination of lower powers.
 
-    Solves one exact linear system per candidate n; the unknowns are all
-    coefficients of the multiplier polynomials q_i up to deg_max, which
-    defaults to the x-degree of a^n (the smallest cap that cannot exclude
-    a witness on degree grounds).  The q_0 slot multiplies the identity
-    and only exists in a unital algebra.  None when no witness exists.
+    Solves one exact linear system per candidate n from _specialised_degree
+    on (the n below it have no witness); the unknowns are all coefficients
+    of the multiplier polynomials q_i up to deg_max, which defaults to the
+    x-degree of a^n (the smallest cap that cannot exclude a witness on
+    degree grounds).  The q_0 slot multiplies the identity and only exists
+    in a unital algebra.  None when no witness exists.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -205,6 +230,9 @@ def integral_witness(
     base = filtration.algebra
     f = base.field
     m_top = max(a.degree, 0)
+    start = _specialised_degree(a)
+    if start > n_max:
+        return None
     # powers[0] backs the q_0 column and only exists in a unital algebra.
     powers: list[tuple[AlgElement, ...]] = [
         (base.unit_element(),) if base.is_unital else ()
@@ -212,7 +240,9 @@ def integral_witness(
     cur: tuple[AlgElement, ...] = ()
     for n in range(1, n_max + 1):
         cur = a.coeffs if n == 1 else _ax_mul(cur, a.coeffs, base)
-        powers.append(cur)
+        powers.append(cur)  # the columns of every later system
+        if n < start:
+            continue
         cap = deg_max if deg_max is not None else m_top * n
         lo = 0 if base.is_unital else 1
         unknowns = [(i, j) for i in range(lo, n) for j in range(cap + 1)]

@@ -7,23 +7,25 @@ and file input.  Constants and element coordinates are stored once, as
 sparse raw values {index: raw} (see fields); mul, unit and coords are views
 wrapped into Scalars on first read.  Every product, sum and scalar multiple
 is one linalg.combine, and multiply_coords and the dense constructors are
-boundary adapters over it.  AlgElement.nil_index takes each next power
-with StructureAlgebra.product on raw rows, so it builds no AlgElement.
+boundary adapters over it.  The two power searches, raw_nil_index (which
+AlgElement.nil_index and algebra.brute_force_nil_index run) and
+algebraic_degree, take each next power with StructureAlgebra.product on
+raw rows, so neither builds an AlgElement.
 
 A check that reads only a filtration needs nothing else of an algebra, so
-it loads this module and not algebra, which imports these names back.
+it loads this module and not algebra, which imports these names back;
+rees takes algebraic_degree from here too.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .fields import Field, Scalar, dense_scalars, raw_value, read_sparse
+from .fields import Field, Scalar, dense_scalars, is_rational, raw_value, read_sparse
 from .errors import InvalidAlgebraError
-from .linalg import combine
+from .linalg import Subspace, combine
 
-__all__ = ["Record", "ValidationReport", "StructureAlgebra", "AlgElement"]
+__all__ = ["Record", "ValidationReport", "StructureAlgebra", "AlgElement", "algebraic_degree"]
 
 Coords = tuple[Scalar, ...]
 
@@ -269,7 +271,7 @@ class AlgElement:
         if isinstance(other, AlgElement):
             self._check(other)
             return AlgElement.from_raw(self.algebra, self.algebra.product(self._raw, other._raw))
-        if isinstance(other, (Scalar, int, Fraction)):
+        if isinstance(other, Scalar) or is_rational(other):
             return self._combine(((raw_value(self.algebra.field, other), self._raw),))
         return NotImplemented
 
@@ -289,13 +291,8 @@ class AlgElement:
         return not self._raw
 
     def nil_index(self, cutoff: int) -> Optional[int]:
-        """Least n <= cutoff with self**n = 0, or None; the powers are raw rows."""
-        product, p = self.algebra.product, self._raw
-        for n in range(1, cutoff + 1):
-            if not p:
-                return n
-            p = product(p, self._raw)
-        return None
+        """Least n <= cutoff with self**n = 0, or None; see raw_nil_index."""
+        return raw_nil_index(self.algebra, self._raw, cutoff)
 
     def __eq__(self, other) -> bool:
         return (
@@ -310,3 +307,33 @@ class AlgElement:
     def __repr__(self) -> str:
         parts = [f"({c})*{self.algebra.names[i]}" for i, c in sorted(self._raw.items())]
         return " + ".join(parts) if parts else "0"
+
+
+def raw_nil_index(algebra: StructureAlgebra, a: dict, cutoff: int) -> Optional[int]:
+    """Least n <= cutoff with a**n = 0 for a sparse raw row a, or None; the powers are raw rows."""
+    product, p = algebra.product, a
+    for n in range(1, cutoff + 1):
+        if not p:
+            return n
+        p = product(p, a)
+    return None
+
+
+def algebraic_degree(a: AlgElement, unital: bool = False) -> int:
+    """Least d >= 1 with a**d in the span of lower powers.
+
+    Non-unital by default: the span runs over a, ..., a**(d-1) only.  With
+    unital=True the identity joins the span (the algebra must have one).
+    Always terminates: powers live in a space of dimension at most dim, so
+    d never exceeds dim + 1 (dim + 2 in the seeded-unit case).
+    """
+    algebra = a.algebra
+    spanned = Subspace(algebra.field, algebra.dim)
+    if unital:
+        spanned.insert_raw(algebra.unit_element()._raw)  # raises if no unit
+    p = a._raw
+    for d in range(1, algebra.dim + 3):
+        if not spanned.insert_raw(p):
+            return d
+        p = algebra.product(p, a._raw)
+    raise RuntimeError("unreachable: powers span a bounded space")

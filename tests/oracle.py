@@ -5,14 +5,18 @@ the version it replaced.  Those versions live here, once each, with the
 input generators that more than one suite draws from.  The references
 compute on dense vectors of Scalars, one Scalar operation per cell, or on
 element arithmetic, and each keeps its old algorithm: batch Gauss-Jordan
-elimination, the pull walk, all-pairs validation and word-by-word
-evaluation.  No reference calls a raw kernel it checks (`combine`,
-`products`, `insert_raw`, `reduce_raw`, and `_nonzero_levels`, the level
-walk's one generator of raw rows).  The one raw kernel called here is
-`linalg.combine`, inside the `combine` adapter at the end: that adapter
-is the kernel under test with dense input, and it returns the kernel's
-sparse raw row as is, so a suite sees each raw value the kernel made; no
-reference uses it.
+elimination, the pull walk, all-pairs validation, word-by-word evaluation
+and an integrality system for every degree.  No reference calls a raw
+kernel it checks (`combine`, `products`, `insert_raw`, `reduce_raw`, and
+`_nonzero_levels`, the level walk's one generator of raw rows).  Raw code
+is called here in two places, neither of them as a reference for it:
+- the `combine` adapter at the end is `linalg.combine` under test with
+  dense input, and it returns the kernel's sparse raw row as is, so a
+  suite sees each raw value the kernel made; no reference uses it;
+- the integrality reference builds and solves its systems as the search
+  under test does (`rees._ax_mul` and `linalg.solve_raw`, which the rref
+  and Rees suites check), since what it checks is only which degrees
+  that search skips.
 
 pytest does not collect this module; the suites import from it by name.
 """
@@ -27,7 +31,7 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
-from ordsym import linalg
+from ordsym import linalg, rees
 from ordsym.algebra import StructureAlgebra, ValidationReport, evaluate
 from ordsym.catalog import builtin_example
 from ordsym.fields import QQ, Field, Scalar, raw_value, read_sparse
@@ -589,6 +593,37 @@ def power_membership_reference(a, n):
         bad = next(e for e, c in enumerate(p.coeffs) if not a.filtration.stage(e - 1).contains(c.coords))
         witness = {"power": exponent, "x_degree": bad}
     return PowerMembership(ok=ok, exponent=exponent, least_exponent=least, witness=witness)
+
+
+# --- the Rees integrality search
+def reference_integral_witness(a, n_max, deg_max=None):
+    """integral_witness as it was before the specialisation skip: one system for every n from 1.
+
+    The search under test differs only in the n it skips, so this keeps
+    its systems and their solve, solve_raw, as they are.
+    """
+    base = a.filtration.algebra
+    f = base.field
+    m_top = max(a.degree, 0)
+    powers = [(base.unit_element(),) if base.is_unital else ()]
+    cur = ()
+    for n in range(1, n_max + 1):
+        cur = a.coeffs if n == 1 else rees._ax_mul(cur, a.coeffs, base)
+        powers.append(cur)
+        cap = deg_max if deg_max is not None else m_top * n
+        lo = 0 if base.is_unital else 1
+        unknowns = [(i, j) for i in range(lo, n) for j in range(cap + 1)]
+        rows = {}
+        for col, (pw, j) in enumerate([(powers[i], j) for i, j in unknowns] + [(powers[n], 0)]):
+            for shift, coeff in enumerate(pw):
+                for c, x in coeff._raw.items():
+                    rows.setdefault((j + shift, c), {})[col] = x
+        sol = linalg.solve_raw(f, len(unknowns), (rows[ec] for ec in sorted(rows)))
+        if sol is not None:
+            x = [0] * (cap + 1) * lo + [sol.get(col, 0) for col in range(len(unknowns))]
+            return rees.IntegralWitness(
+                n, [rees.ScalarPoly(f, x[i * (cap + 1):(i + 1) * (cap + 1)]) for i in range(n)])
+    return None
 
 
 # --- the kernel under test, on dense input

@@ -175,6 +175,65 @@ def test_a_check_on_a_description_file_loads_io_and_not_the_evaluation_route(com
     ("alg-bound", "--builtin", "upper-triangular:2", "--elements", "[[1, 0, 0], [0, 1, 0]]"),
     ("rees-integrality", "--builtin", "truncated-polynomial:3", "--coeffs", "[[0, 0, 0], [0, 1, 0]]"),
 ])
-def test_a_vector_flag_loads_io_and_not_the_evaluation_route(argv):
+def test_a_vector_flag_loads_json_and_neither_io_nor_the_evaluation_route(argv):
+    """The one vector reader, read_vector, lives in fields, so io loads only for a description file."""
     loaded = loaded_by(*argv)
-    assert "ordsym.io" in loaded and ROUTE not in loaded
+    assert "json" in loaded
+    assert not loaded & {"ordsym.io", ROUTE}
+
+
+FRACTIONS = {"fractions", "decimal"}  # fractions imports decimal
+EVERY_COMMAND = [
+    ("gr", "--builtin", "upper-triangular:3"),
+    ("check-filtration", "--builtin", "upper-triangular:3"),
+    ("iso-check", "--builtin", "upper-triangular:3"),
+    ("nil-index", "--builtin", "strictly-upper-triangular:3"),
+    ("alg-degree", "--builtin", "upper-triangular:3"),
+    ("alg-bound", "--builtin", "upper-triangular:3"),
+    ("verify-my1", "--builtin", "upper-triangular:3"),
+    ("rees-integrality", "--builtin", "upper-triangular:3"),
+    ("rees-integrality", "--builtin", "truncated-polynomial:4", "--nmax", "4",
+     "--coeffs", "[[0, 0, 0, 0], [2, -1, 0, 0], [1, 1, -2, 0]]"),
+    ("span-dim", "--n", "3", "--m", "2"),
+    ("sym-poly", "--md", "2,1"),
+]
+
+
+def test_importing_the_command_line_loads_no_fractions():
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, ordsym.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_no_check_over_a_prime_field_loads_fractions(argv):
+    """A residue is an int: GF(p) makes no Fraction, so it never loads fractions."""
+    assert not loaded_by(*argv, "--field", "GF:101") & FRACTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ("gr", "--builtin", "upper-triangular:3"),
+    ("check-filtration", "--builtin", "upper-triangular:3"),
+    ("iso-check", "--builtin", "upper-triangular:3"),
+    ("nil-index", "--builtin", "strictly-upper-triangular:3"),
+    ("alg-degree", "--builtin", "upper-triangular:3"),
+    ("verify-my1", "--builtin", "truncated-polynomial:4"),
+    ("span-dim", "--n", "3", "--m", "2"),
+    ("sym-poly", "--md", "2,1"),
+    # a -1 pivot is scaled by the int -1, and "-1" in JSON reads as an int
+    ("alg-degree", "--builtin", "upper-triangular:2", "--elements", '[["-1", 0, 0]]'),
+])
+def test_a_rational_check_that_makes_only_integers_loads_no_fractions(argv):
+    assert not loaded_by(*argv) & FRACTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    # the powers 2 E11 and 4 E11: the pivot 2 is scaled by the Fraction 1/2
+    ("alg-degree", "--builtin", "upper-triangular:2", "--elements", "[[2, 0, 0]]"),
+    ("alg-degree", "--builtin", "upper-triangular:2", "--elements", '[["1/2", 0, 0]]'),
+])
+def test_a_rational_check_that_makes_a_fraction_loads_fractions(argv):
+    assert FRACTIONS <= loaded_by(*argv)

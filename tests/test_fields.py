@@ -224,6 +224,20 @@ def test_an_unparsable_scalar_is_a_bad_scalar(raw):
             raw_from_json(field, raw)
 
 
+@pytest.mark.parametrize("text", ["3", "+3", "-3", "-0", "007", " 3", "3_0", "1e3", "6/3", "-4/2", "1/2", "\u0663", "9" * 5000])
+def test_a_json_string_reads_as_fraction_reads_it(text):
+    """A signed run of ASCII digits reads as an int, every other string through Fraction, to the same raw value."""
+    for field in (QQ, Field("GF", 7)):
+        try:
+            expected = raw_value(field, Fraction(text))
+        except ValueError:  # more digits than int() converts
+            with pytest.raises(ValueError, match=rf"^bad scalar {re.escape(repr(text))}$"):
+                raw_from_json(field, text)
+            continue
+        got = raw_from_json(field, text)
+        assert (type(got), got) == (type(expected), expected)
+
+
 def test_pow_and_div():
     assert QQ.scalar(Fraction(2, 3)) ** 3 == QQ.scalar(Fraction(8, 27))
     f = Field("GF", 7)

@@ -91,6 +91,14 @@ def test_submodules_resolve_as_attributes():
     assert ordsym.rees.integral_witness is ordsym.integral_witness
 
 
+def test_a_moved_function_is_one_object_under_each_path():
+    """read_vector lives in fields and algebraic_degree in structure; io and algebra name the same objects."""
+    from ordsym import algebra, fields, io, structure
+
+    assert io.read_vector is fields.read_vector
+    assert ordsym.algebraic_degree is algebra.algebraic_degree is structure.algebraic_degree
+
+
 COMMANDS = list(HELP_PINS["help"])
 
 

@@ -162,8 +162,9 @@ def test_walk_and_power_searches_build_no_wrapper(elements_built, scalars_built)
 
     The walk of uniform_nil_index and its member pre-check, and the powers
     of algebraic_degree, build no AlgElement (247 and 11 of them when each
-    value was wrapped); brute force enumerates residues, not the field's
-    Scalars.
+    value was wrapped).  Brute force enumerates residues, not the field's
+    Scalars, and takes the nil index of each combination on its raw row
+    (27 AlgElements on this input when each combination was wrapped).
     """
     elts = builtin_example("strictly-upper-triangular", 8)[0].basis_elements()
     t = builtin_example("truncated-polynomial", 12)[0].basis_element(1)
@@ -171,8 +172,8 @@ def test_walk_and_power_searches_build_no_wrapper(elements_built, scalars_built)
     del elements_built[:], scalars_built[:]
     assert uniform_nil_index(elts) == 8
     assert algebraic_degree(t) == 12
-    assert elements_built == []
     assert brute_force_nil_index(small) == 3
+    assert elements_built == []
     assert scalars_built == []
 
 

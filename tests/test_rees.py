@@ -6,7 +6,7 @@ import pytest
 
 from ordsym import rees
 from ordsym.algebra import StructureAlgebra
-from ordsym.catalog import builtin_example
+from ordsym.catalog import builtin_example, builtin_names
 from ordsym.cli import main
 from ordsym.fields import QQ, Field
 from ordsym.graded import GradedAlgebra, associated_graded
@@ -17,7 +17,15 @@ from ordsym.rees import (
     integral_power_in_x_ideal,
     integral_witness,
 )
-from oracle import BUILTINS, power_membership_reference, stage_element, unit_elt, ut3
+from oracle import (
+    BUILTINS,
+    SIZES,
+    power_membership_reference,
+    reference_integral_witness,
+    stage_element,
+    unit_elt,
+    ut3,
+)
 
 def test_make_valid_element():
     A, F = ut3()
@@ -325,3 +333,50 @@ def test_rees_integrality_multiplies_only_up_to_the_least_power(monkeypatch):
         assert main(["rees-integrality", "--builtin", "truncated-polynomial:9", "--nmax", "9"]) == 0
     assert '"least_power_in_x_ideal": 9' in out.getvalue() and '"power_exponent": 65' in out.getvalue()
     assert products[0] == 16
+
+
+def exact(witness):
+    """A witness's degree and multipliers, each coefficient with the type of its raw value."""
+    if witness is None:
+        return None
+    return witness.degree, [[(type(c.value), c.value) for c in q.coeffs] for q in witness.multipliers]
+
+
+@pytest.mark.parametrize("field", [QQ, Field("GF", 2), Field("GF", 3), Field("GF", 101)], ids=repr)
+def test_integral_witness_matches_the_search_over_every_degree(field):
+    """The degrees a specialisation rules out are skipped, and the least n and its multipliers stay.
+
+    Seeded elements of every builtin, unital or not, with and without a
+    constant term; the default cap, caps low enough to leave no witness,
+    and an n_max below the specialised degree, where no system is solved.
+    """
+    rng = random.Random(53)
+    seen = {"witness": 0, "indeterminate": 0, "below_start": 0, "skipped": 0}
+    for name in builtin_names():
+        A, F = builtin_example(name, SIZES[name], field)
+        for trial in range(4):
+            constant = stage_element(F, 0, rng) if trial >= 2 else A.zero_element()
+            a = ReesElement(F, [constant] + [stage_element(F, n, rng) for n in range(1, F.top + 1)])
+            start = rees._specialised_degree(a)
+            for n_max, deg_max in ((A.dim + 1, None), (A.dim + 1, 0), (A.dim + 1, 1), (start - 1, None), (start, 1)):
+                if n_max < 1:
+                    continue
+                got = integral_witness(a, n_max=n_max, deg_max=deg_max)
+                assert exact(got) == exact(reference_integral_witness(a, n_max, deg_max)), (name, trial, n_max, deg_max)
+                seen["witness"] += got is not None
+                seen["indeterminate"] += got is None and deg_max is not None
+                seen["below_start"] += n_max < start
+                seen["skipped"] += got is not None and start > 1
+    assert all(seen.values()), seen
+
+
+def test_integral_witness_solves_no_system_below_the_specialised_degree(monkeypatch):
+    """truncated-polynomial:8: a(1) already has degree 8, so the one system solved is the one at n = 8."""
+    solves = counting(monkeypatch, rees, "solve_raw")
+    A, F = builtin_example("truncated-polynomial", 8)
+    a = ReesElement.make(F, [[0] * 8] + [[1] * (n + 1) + [0] * (7 - n) for n in range(1, 8)])
+    assert rees._specialised_degree(a) == 8
+    assert integral_witness(a, n_max=8).degree == 8
+    assert solves[0] == 1
+    assert integral_witness(a, n_max=7) is None
+    assert solves[0] == 1
