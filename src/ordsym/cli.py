@@ -30,10 +30,22 @@ non-whole rational is made or read; then
   graded and rees; verify-my1 adds graded, algebra and nilbound.
 
 No command loads evaluation, the evaluation-at-points route.
+
+run is the process entry, of python -m ordsym and of the installed ordsym
+script: main, then gc.freeze().  Everything alive then (the interpreter's
+start-up heap, every loaded module, the check's own objects) moves to the
+permanent generation, so the cyclic collections at interpreter shutdown
+no longer traverse it; they would free nothing the operating system does
+not reclaim at exit anyway.  run does not end the process itself, as
+os._exit would: atexit handlers, stream flushing and the rest of the
+interpreter's shutdown still run, so profilers and coverage keep their
+output.  main itself does not freeze, so callers that run it in-process
+(tests, perfbench's traced runner, library code) keep normal collection.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 from importlib import import_module
@@ -246,5 +258,12 @@ def main(argv=None) -> int:
     return 0 if status == "pass" else 1
 
 
+def run(argv=None) -> int:
+    """main(argv), then gc.freeze() so that shutdown collects none of what is left; the process entry."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -286,7 +286,7 @@ def field_make(descriptor: Descriptor) -> Field:
         if descriptor == "Q":
             return QQ
         modulus = descriptor[3:]
-        if descriptor.startswith("GF:") and modulus.isascii() and modulus.isdigit():
+        if descriptor.startswith("GF:") and _ascii_digits(modulus):
             digits = modulus.lstrip("0") or "0"
             # int() refuses more than sys.get_int_max_str_digits() digits
             if len(digits) > len(str(_CERTIFIED_BELOW)):
@@ -332,18 +332,28 @@ def scalar_to_json(s: Scalar):
     return raw_to_json(s.field, s.value)
 
 
+def _ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def raw_from_json(field: Field, raw):
     """The raw value of an int or a "num/den" string; ValueError when it names no element of field.
 
-    A signed run of ASCII digits reads as the int that Fraction would make.
+    A string is an optional sign and ASCII digits, then optionally "/" and
+    ASCII digits; any other string (a space, "_", an exponent, a decimal
+    point, a non-ASCII digit) is a bad scalar.  Without "/" it reads as the
+    int that Fraction would make.
     """
     if isinstance(raw, bool) or not isinstance(raw, (int, str)):
         raise ValueError(f"bad scalar {raw!r}")
     try:
         x = raw
         if isinstance(raw, str):
-            digits = raw[1:] if raw[:1] in ("+", "-") else raw
-            x = int(raw) if digits.isascii() and digits.isdigit() else fraction()(raw)
+            num, slash, den = raw.partition("/")
+            digits = num[1:] if num[:1] in ("+", "-") else num
+            if not _ascii_digits(digits) or slash and not _ascii_digits(den):
+                raise ValueError
+            x = fraction()(raw) if slash else int(raw)
         return raw_value(field, x)
     except ZeroDivisionError:
         raise ValueError(f"bad scalar {raw!r}: zero denominator in {field}") from None

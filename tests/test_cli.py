@@ -480,18 +480,20 @@ def test_exit_2_on_zero_denominator(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, where",
+    "argv, where, entry",
     [
-        (["nil-index", "--builtin", "strictly-upper-triangular:3", "--elements", '[[1,"x",0]]'], "--elements[0][1]"),
+        (["nil-index", "--builtin", "strictly-upper-triangular:3", "--elements", '[[1,"x",0]]'], "--elements[0][1]", "x"),
         (["rees-integrality", "--builtin", "truncated-polynomial:3", "--coeffs", '[[0, 0, 0], ["x", 0, 0]]'],
-         "--coeffs[1][0]"),
+         "--coeffs[1][0]", "x"),
+        # an Arabic-Indic three: Fraction reads it, but it is no "num/den"
+        (["alg-degree", "--builtin", "upper-triangular:2", "--elements", '[["\u0663",0,0]]'], "--elements[0][0]", "\u0663"),
     ],
-    ids=["elements", "coeffs"],
+    ids=["elements", "coeffs", "non-ascii-digit"],
 )
-def test_a_bad_flag_entry_is_named_by_flag_and_place(argv, where, capsys):
+def test_a_bad_flag_entry_is_named_by_flag_and_place(argv, where, entry, capsys):
     """Flags are read as description files are: the entry's place, then the same wording."""
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"input error: {where}: bad scalar 'x'\n"
+    assert capsys.readouterr().err == f"input error: {where}: bad scalar {entry!r}\n"
 
 
 # --- the command line read without argparse, and the report written without json

@@ -224,9 +224,9 @@ def test_an_unparsable_scalar_is_a_bad_scalar(raw):
             raw_from_json(field, raw)
 
 
-@pytest.mark.parametrize("text", ["3", "+3", "-3", "-0", "007", " 3", "3_0", "1e3", "6/3", "-4/2", "1/2", "\u0663", "9" * 5000])
-def test_a_json_string_reads_as_fraction_reads_it(text):
-    """A signed run of ASCII digits reads as an int, every other string through Fraction, to the same raw value."""
+@pytest.mark.parametrize("text", ["3", "+3", "-3", "-0", "007", "6/3", "-4/2", "+1/2", "1/2", "-0/5", "9" * 5000])
+def test_a_num_den_string_reads_as_fraction_reads_it(text):
+    """An optional sign, ASCII digits, then optionally "/" and ASCII digits: the same raw value as Fraction's."""
     for field in (QQ, Field("GF", 7)):
         try:
             expected = raw_value(field, Fraction(text))
@@ -236,6 +236,17 @@ def test_a_json_string_reads_as_fraction_reads_it(text):
             continue
         got = raw_from_json(field, text)
         assert (type(got), got) == (type(expected), expected)
+
+
+@pytest.mark.parametrize("text", [
+    " 3", "3 ", "3_0", "1e3", "0.5", "\u0663", "\uff13", "\u00b2", "+-3", "--3", "+", "/3", "1/-2", "1/+2",
+    "1/ 2", "1/2/3", "1/2.0", "-1/\u0663",
+])
+def test_any_other_string_is_a_bad_scalar(text):
+    """Strings that Fraction reads but the "num/den" form does not (spaces, "_", exponents, decimals, non-ASCII digits)."""
+    for field in (QQ, Field("GF", 7)):
+        with pytest.raises(ValueError, match=rf"^bad scalar {re.escape(repr(text))}$"):
+            raw_from_json(field, text)
 
 
 def test_pow_and_div():
