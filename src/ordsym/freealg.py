@@ -7,16 +7,20 @@ once, as {word: nonzero raw value}; its arithmetic is linalg.combine over
 word-keyed rows, and terms and coeff wrap what they return.
 
 The central construction is ``sym_poly(profile)``: the coefficient-one sum
-of every word containing exactly profile[j] occurrences of generator j+1.
-Expanding a power of a linear combination of the generators collects
-exactly these sums, weighted by monomials in the coefficients; that
-identity is what the span machinery below exploits.
+S_mu of every word with exactly mu[j] occurrences of generator j+1.  A
+power (c_1 x_1 + ... + c_m x_m)^n is the sum of c^mu S_mu over the
+profiles mu of total n, the identity the span machinery below exploits.
+One first-letter recursion reads off every S_mu: a word of mu is a letter
+j+1 before a word of mu - e_j.  sym_poly keeps words as tuples, the spans
+as columns: the base-m numeral of the letters less one (word_basis(m,
+[n])), or the bijective base-m numeral of the letters (word_basis(m,
+range(r + 1))).
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from .fields import Field, Scalar, is_rational, raw_value
@@ -49,12 +53,23 @@ def word_multidegree(word: Word, m: int) -> tuple[int, ...]:
 
 def multidegrees(total: int, m: int) -> Iterator[tuple[int, ...]]:
     """All exponent profiles of length m with the given total, lexicographic."""
-    if m == 1:
-        yield (total,)
+    if m < 1:
+        raise ValueError("need at least one generator")
+    if total < 0:
         return
-    for head in range(total + 1):
-        for rest in multidegrees(total - head, m - 1):
-            yield (head,) + rest
+    md = [0] * (m - 1) + [total]
+    while True:
+        yield tuple(md)
+        # The successor carries a unit from the last nonzero entry md[r],
+        # r >= 1, to md[r - 1], and moves what is left of md[r] to the end.
+        r = m - 1
+        while r and not md[r]:
+            r -= 1
+        if not r:
+            return
+        rest, md[r] = md[r] - 1, 0
+        md[r - 1] += 1
+        md[-1] = rest
 
 
 def monomial_count(profile: Sequence[int]) -> int:
@@ -64,21 +79,6 @@ def monomial_count(profile: Sequence[int]) -> int:
     for i in profile:
         out //= factorial(i)
     return out
-
-
-def _next_permutation(seq: list[int]) -> bool:
-    """Advance to the next lexicographic permutation in place; False at the end."""
-    i = len(seq) - 2
-    while i >= 0 and seq[i] >= seq[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = len(seq) - 1
-    while seq[j] <= seq[i]:
-        j -= 1
-    seq[i], seq[j] = seq[j], seq[i]
-    seq[i + 1 :] = reversed(seq[i + 1 :])
-    return True
 
 
 class FreePoly:
@@ -206,28 +206,44 @@ class FreePoly:
 def sym_poly(profile: Sequence[int], field: Field) -> FreePoly:
     """Sum, coefficient one, of all words matching an occurrence profile.
 
-    The all-zero profile yields the empty-word monomial 1.  Enumeration is
-    iterative next-permutation over the letter multiset: the term count is
-    multinomial in the profile, so recursion depth and per-word allocation
-    are kept out of the hot path.
+    The all-zero profile yields the empty-word monomial 1.  The words come
+    from the first-letter recursion, one level per letter, in lexicographic
+    order, so raw_terms sorts them in linear time.
     """
     m = len(profile)
     if m < 1:
         raise ValueError("profile must have at least one entry")
     if any(i < 0 for i in profile):
         raise ValueError("profile entries must be nonnegative")
-    return FreePoly.from_raw(field, m, dict.fromkeys(_profile_words(profile), 1))
+    *_, top = _levels(profile, sum(profile), (), lambda j, k: (j + 1,))
+    return FreePoly.from_raw(field, m, dict.fromkeys(top[tuple(profile)], 1))
 
 
-def _profile_words(profile: Sequence[int]) -> Iterator[Word]:
-    """Every word with the given occurrence profile, in lexicographic order."""
-    letters: list[int] = []
-    for j, count in enumerate(profile, start=1):
-        letters.extend([j] * count)
-    while True:
-        yield tuple(letters)
-        if not _next_permutation(letters):
-            return
+def _levels(bound: Sequence[int], top: int, empty, letter) -> Iterator[dict[tuple[int, ...], list]]:
+    """Levels k = 0..top of the first-letter recursion: {profile: its words}.
+
+    Level k holds each profile mu of total k at most bound entrywise; its
+    words are letter(j, k - 1) + w for j with mu[j] > 0 and w a word of
+    mu - e_j.  Sorted parents come j ascending, so every word list stays
+    lexicographic; each parent's list is dropped once it is used.
+    """
+    level = {(0,) * len(bound): [empty]}
+    yield level
+    for k in range(top):
+        below, level = level, {}
+        for mu in sorted(below):
+            words = below.pop(mu)
+            for j, i in enumerate(mu):
+                if i < bound[j]:
+                    a = letter(j, k)
+                    level.setdefault(mu[:j] + (i + 1,) + mu[j + 1 :], []).extend([a + w for w in words])
+        yield level
+
+
+def _sym_rows(n: int, m: int) -> list[tuple[tuple[int, ...], dict[int, int]]]:
+    """(mu, S_mu) for each profile mu of total n, in order, in the columns of word_basis(m, [n])."""
+    *_, level = _levels((n,) * m, n, 0, lambda j, k: j * m**k)
+    return [(mu, dict.fromkeys(words, 1)) for mu, words in sorted(level.items())]
 
 
 def linear_power(coeffs: Sequence[Scalar], n: int) -> FreePoly:
@@ -247,61 +263,43 @@ def word_basis(m: int, lengths: Iterable[int]) -> list[Word]:
     return out
 
 
-def _word_rows(m: int, lengths: Iterable[int], field: Field, rows: Iterable[dict[Word, object]]) -> Subspace:
-    """The span of rows {word: raw value}, in the columns of word_basis(m, lengths).
-
-    word_basis orders a length's words as the base-m numerals of their
-    letters less one, so a word's column is the count of shorter words
-    plus that numeral.
-    """
-    offset, size = {}, 0
-    for n in sorted(set(lengths)):
-        offset[n] = size
-        size += m**n
-    space = Subspace(field, size)
-    for terms in rows:
-        row = {}
-        for w, c in terms.items():
-            col = 0
-            for letter in w:
-                col = col * m + letter - 1
-            row[offset[len(w)] + col] = c
-        space.insert_raw(row)
-    return space
-
-
 def sym_span(n: int, m: int, field: Field) -> Subspace:
     """Span of all order-symmetric sums of total degree n, in word coordinates."""
-    return _word_rows(m, [n], field, (dict.fromkeys(_profile_words(md), 1) for md in multidegrees(n, m)))
+    return Subspace.from_raw(field, m**n, (row for _, row in _sym_rows(n, m)))
 
 
 def sym_span_upto(r: int, m: int, field: Field, include_degree_zero: bool = False) -> Subspace:
     """Cumulative span of the order-symmetric sums of degrees 1..r.
 
-    Coordinates run over all words of length 0..r.  The degree-0 sum (the
-    constant 1) joins only when `include_degree_zero` is set; the default
-    starts the cumulative span at degree 1.
+    Coordinates run over all words of length 0..r, in the columns of
+    word_basis(m, range(r + 1)).  The degree-0 sum (the constant 1) joins
+    only when `include_degree_zero` is set; the default starts at degree 1.
     """
-    lo = 0 if include_degree_zero else 1
-    sums = (dict.fromkeys(_profile_words(md), 1) for k in range(lo, r + 1) for md in multidegrees(k, m))
-    return _word_rows(m, range(r + 1), field, sums)
+    levels = _levels((r,) * m, r, 0, lambda j, k: (j + 1) * m**k)
+    if not include_degree_zero:
+        next(levels)
+    rows = (dict.fromkeys(words, 1) for level in levels for _, words in sorted(level.items()))
+    return Subspace.from_raw(field, sum(m**k for k in range(r + 1)), rows)
 
 
-def power_span_grid(
-    n: int, m: int, sample: Sequence[Scalar]
-) -> tuple[Subspace, bool]:
+def power_span_grid(n: int, m: int, sample: Sequence[Scalar]) -> tuple[Subspace, bool]:
     """Span of all n-th powers of linear forms with coefficients in sample^m.
 
     Returns (span, complete): when the sample holds at least n+1 distinct
     values the span provably equals sym_span(n, m); with fewer values the
-    span is still returned but flagged incomplete.
+    span is still returned but flagged incomplete.  The power at a point c
+    is one combine of sym_span's rows, sum over mu of c^mu S_mu.
     """
     if not sample:
         raise ValueError("sample must be nonempty")
     if len(set(sample)) != len(sample):
         raise ValueError("sample values must be distinct")
-    space = _word_rows(m, [n], sample[0].field, (linear_power(pt, n)._terms for pt in product(sample, repeat=m)))
-    return space, len(sample) >= n + 1
+    field = sample[0].field
+    values = [raw_value(field, s) for s in sample]
+    sums = _sym_rows(n, m)
+    powers = (combine(field, ((prod(x**i for x, i in zip(c, mu)), row) for mu, row in sums))
+              for c in product(values, repeat=m))
+    return Subspace.from_raw(field, m**n, powers), len(sample) >= n + 1
 
 
 def sym_span_dim_formula(n: int, m: int) -> int:

@@ -16,7 +16,11 @@ is called here in two places, neither of them as a reference for it:
 - the integrality reference builds and solves its systems as the search
   under test does (`rees._ax_mul` and `linalg.solve_raw`, which the rref
   and Rees suites check), since what it checks is only which degrees
-  that search skips.
+  that search skips;
+- the power-grid reference expands each power with `linear_power`, whose
+  `FreePoly` products run on `combine` and which the free-algebra suite
+  checks against `expand_power_oracle`, since what it checks is the
+  profile sums that replaced that expansion.
 
 pytest does not collect this module; the suites import from it by name.
 """
@@ -35,7 +39,7 @@ from ordsym import linalg, rees
 from ordsym.algebra import StructureAlgebra, ValidationReport, evaluate
 from ordsym.catalog import builtin_example
 from ordsym.fields import QQ, Field, Scalar, raw_value, read_sparse
-from ordsym.freealg import FreePoly, multidegrees, sym_poly
+from ordsym.freealg import FreePoly, linear_power, multidegrees, sym_poly, word_basis
 from ordsym.graded import HomogeneityReport, associated_graded
 from ordsym.linalg import Subspace
 from ordsym.rees import PowerMembership
@@ -503,6 +507,22 @@ def words_with_profile(profile):
     for j, count in enumerate(profile, start=1):
         letters.extend([j] * count)
     return sorted(set(itertools.permutations(letters)))
+
+
+def reference_multidegrees(total: int, m: int):
+    """The profiles of length m and the given total, lexicographic, by recursion on the first entry."""
+    if m == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in reference_multidegrees(total - head, m - 1):
+            yield (head,) + rest
+
+
+def reference_power_grid_rows(n: int, m: int, sample):
+    """linear_power(c, n) for each c in sample^m, read word by word in the columns of word_basis(m, [n])."""
+    words = word_basis(m, [n])
+    return [[p.coeff(w) for w in words] for p in (linear_power(c, n) for c in itertools.product(sample, repeat=m))]
 
 
 def expand_power_oracle(coeffs, n):

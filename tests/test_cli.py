@@ -33,6 +33,12 @@ def test_span_dim_command(capsys):
     assert report["results"]["dim"] == 3 == report["results"]["dim_formula"]
 
 
+def test_span_dim_on_many_generators_runs_without_recursion_depth(capsys):
+    code, report = run(["span-dim", "--n", "1", "--m", "1200"], capsys)
+    assert code == 0
+    assert report["results"]["dim"] == 1200 == report["results"]["cumulative_dim"]
+
+
 def test_nil_index_on_strictly_upper(capsys):
     code, report = run(["nil-index", "--builtin", "strictly-upper-triangular:3"], capsys)
     assert code == 0

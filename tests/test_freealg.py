@@ -17,7 +17,7 @@ from ordsym.freealg import (
     word_basis,
     word_multidegree,
 )
-from oracle import expand_power_oracle, words_with_profile
+from oracle import expand_power_oracle, reference_multidegrees, words_with_profile
 
 
 def test_sym_poly_2_2_exact_terms():
@@ -47,6 +47,8 @@ def test_sym_poly_1_1():
 def test_sym_poly_matches_permutation_oracle(profile):
     p = sym_poly(profile, QQ)
     assert [w for w, _ in p.terms()] == words_with_profile(profile)
+    # held in lexicographic order already, so raw_terms' sort is one linear pass
+    assert list(p._terms) == words_with_profile(profile)
     assert all(c == QQ.one() for _, c in p.terms())
     assert all(word_multidegree(w, len(profile)) == tuple(profile) for w, _ in p.terms())
 
@@ -134,6 +136,21 @@ def test_power_identity_against_symmetric_sums(data):
             c = c * a**e
         rhs = rhs + sym_poly(md, QQ).scale(c)
     assert lhs == rhs
+
+
+def test_multidegrees_match_recursive_reference():
+    for total in range(8):
+        for m in range(1, 6):
+            assert list(multidegrees(total, m)) == list(reference_multidegrees(total, m)), (total, m)
+
+
+def test_multidegrees_run_without_recursion_depth():
+    profiles = list(multidegrees(1, 1200))
+    assert len(profiles) == 1200
+    assert profiles[0] == (0,) * 1199 + (1,) and profiles[-1] == (1,) + (0,) * 1199
+    assert list(multidegrees(-1, 3)) == []
+    with pytest.raises(ValueError, match="generator"):
+        next(multidegrees(2, 0))
 
 
 def test_first_letter_recursion():

@@ -9,7 +9,9 @@ must give the same rows, the same pivots and the same raw values, with
 their types, for `rref`, `Subspace`, the raw solve `solve_raw` and the
 raw inverse `inverse_rows` over Q, GF(2), GF(7) and GF(101): on general,
 sparse, rank-deficient, duplicated and zero-row matrices, on inconsistent
-systems, and on wide 0/1 word-coordinate rows like `sym_span_upto`'s.
+systems, and on wide 0/1 word-coordinate rows like `sym_span`'s and
+`sym_span_upto`'s; and `power_span_grid` against the span of its
+expanded powers, word by word.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordsym.fields import QQ, Field, Scalar, dense_scalars, read_sparse
-from ordsym.freealg import multidegrees, sym_poly, sym_span_upto, word_basis
+from ordsym.freealg import power_span_grid, sym_span, sym_span_upto, word_basis
 from ordsym.linalg import Subspace, inverse_rows, rref, solve_raw
-from oracle import (FIELDS, dense_sum, entries, eye, matrices, outcome, raw, raw_row, reference_rref,
-                    reference_solve_consistent, reference_solve_square)
+from oracle import (FIELDS, dense_sum, entries, eye, matrices, outcome, raw, raw_row, reference_multidegrees,
+                    reference_power_grid_rows, reference_rref, reference_solve_consistent, reference_solve_square,
+                    words_with_profile)
 
 
 def wide_01_rows(field, rng, nrows, ncols):
@@ -122,15 +125,37 @@ def test_seeded_systems_cover_every_case(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("r,m", [(3, 2), (2, 3), (4, 2)])
+@pytest.mark.parametrize("r,m", [(3, 2), (2, 3), (4, 2), (0, 3), (5, 1)])
 def test_word_coordinate_spans_match_reference(field, r, m):
-    """The wide 0/1 rows `sym_span_upto` eliminates, in the columns of `word_basis`."""
-    basis = word_basis(m, range(r + 1))
-    column = {w: i for i, w in enumerate(basis)}
-    vecs = [dense_scalars(field, len(basis), {column[w]: c for w, c in sym_poly(md, field).raw_terms()})
-            for n in range(r + 1) for md in multidegrees(n, m)]
-    assert_rref_matches(field, vecs)
-    assert sym_span_upto(r, m, field, include_degree_zero=True) == Subspace(field, len(basis), vecs)
+    """The wide 0/1 rows `sym_span` and `sym_span_upto` eliminate, in the columns of `word_basis`.
+
+    Each sum's words come from permutations, so no row is read off the
+    first-letter recursion that builds the spans.
+    """
+    full = word_basis(m, range(r + 1))
+    cases = ((sym_span_upto(r, m, field, include_degree_zero=True), full, range(r + 1)),
+             (sym_span_upto(r, m, field), full, range(1, r + 1)),
+             (sym_span(r, m, field), word_basis(m, [r]), [r]))
+    for space, basis, degrees in cases:
+        column = {w: i for i, w in enumerate(basis)}
+        vecs = [dense_scalars(field, len(basis), {column[w]: 1 for w in words_with_profile(md)})
+                for n in degrees for md in reference_multidegrees(n, m)]
+        assert_rref_matches(field, vecs)
+        assert space == Subspace(field, len(basis), vecs)
+
+
+@pytest.mark.parametrize("field,values", [(QQ, (0, 1, -1, Fraction(1, 2))), (Field("GF", 7), (0, 1, 3, 6))],
+                         ids=["Q", "GF(7)"])
+@pytest.mark.parametrize("n,m", [(0, 2), (1, 3), (2, 2), (3, 2), (4, 1), (2, 3)])
+def test_power_span_grid_matches_reference(field, values, n, m):
+    """`power_span_grid`'s profile sums against the expanded powers, over samples with 0 and too small ones."""
+    for size in (1, 2, len(values)):
+        sample = [Scalar(field, v) for v in values[:size]]
+        space, complete = power_span_grid(n, m, sample)
+        red, piv = reference_rref(field, reference_power_grid_rows(n, m, sample))
+        assert complete == (size >= n + 1)
+        assert space.ambient == m**n and space.pivots == tuple(piv)
+        assert raw(space.rows) == raw(red)
 
 
 def test_equal_field_instances_share_one_kernel():
